@@ -14,7 +14,7 @@ diffs them against what each NIC reports.
 from conftest import emit
 from workloads import two_host_config
 
-from repro.core.analyzers import check_counters
+from repro.core.analyzers import AnalyzerContext, get_analyzer
 from repro.core.config import DataPacketEvent, TrafficConfig
 from repro.core.orchestrator import run_test
 
@@ -36,17 +36,23 @@ def run_read_loss_scenario(nic: str, seed: int = 5):
     return run_test(two_host_config(nic, traffic, seed))
 
 
+def counter_report(result):
+    """The counter analyzer's CounterReport for one run."""
+    return get_analyzer("counters").analyze(
+        result.trace, AnalyzerContext.for_result(result)).data
+
+
 def test_sec624_counter_bugs(benchmark):
     lines = ["scenario          nic    mismatched counters", "-" * 60]
     cnp_bug = {}
     nak_bug = {}
     for nic in NICS:
-        report = check_counters(run_ecn_scenario(nic))
+        report = counter_report(run_ecn_scenario(nic))
         names = sorted({m.vendor_counter for m in report.mismatches})
         cnp_bug[nic] = names
         lines.append(f"ECN/CNP          {nic:>5s}   {names or '-'}")
     for nic in NICS:
-        report = check_counters(run_read_loss_scenario(nic))
+        report = counter_report(run_read_loss_scenario(nic))
         names = sorted({m.vendor_counter for m in report.mismatches})
         nak_bug[nic] = names
         lines.append(f"Read loss        {nic:>5s}   {names or '-'}")

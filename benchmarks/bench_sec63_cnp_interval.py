@@ -9,7 +9,11 @@ between its CNPs — confirmed by Intel.
 from conftest import emit
 from workloads import cnp_interval_config
 
-from repro.core.analyzers import analyze_cnps, min_cnp_interval_ns
+from repro.core.analyzers import (
+    AnalyzerContext,
+    get_analyzer,
+    min_cnp_interval_ns,
+)
 from repro.core.orchestrator import run_test
 
 NICS = ("cx4", "cx5", "cx6", "e810")
@@ -17,7 +21,8 @@ NICS = ("cx4", "cx5", "cx6", "e810")
 
 def measure(nic: str, configured_us: int, seed: int = 31):
     result = run_test(cnp_interval_config(nic, configured_us, seed))
-    report = analyze_cnps(result.trace)
+    report = get_analyzer("cnp").analyze(
+        result.trace, AnalyzerContext.for_result(result)).data
     interval = min_cnp_interval_ns(result.trace)
     return {
         "min_interval_us": (interval or 0) / 1e3,

@@ -16,9 +16,11 @@ Quick start::
     result = run_test(config)
     print(result.summary())
 
-The stable programmatic surface lives in :mod:`repro.api` (also
-re-exported here): ``run_test``, ``run_suite``, ``run_fuzz_campaign``,
-``save_result``/``load_result`` and the analyzer registry.
+The stable programmatic surface lives in :mod:`repro.api`; its
+``run_suite``, ``run_fuzz_campaign`` and ``save_result``/``load_result``
+are re-exported here. ``run_test`` here is the orchestrator's
+:func:`~repro.core.orchestrator.run_test`, which ``repro.api.run_test``
+also calls, so both return the same result.
 """
 
 from .api import (

@@ -61,11 +61,16 @@ campaign resumes exactly where it stopped — see ``repro.store``).
 The campaign service (``repro.service``) adds a second execution mode:
 ``serve`` starts a long-running daemon, and ``run``/``fuzz``/``suite``/
 ``sweep`` accept ``--server URL`` to submit the same job to a daemon
-instead of executing locally. Both modes build the identical
-:class:`~repro.service.jobspec.JobSpec`, so local and remote execution
-share one fingerprint and produce byte-identical reports.
-``submit``/``status``/``results``/``cancel`` talk to a running daemon
-directly.
+instead of executing locally. Each command only builds its
+:class:`~repro.service.jobspec.JobSpec` — ``--coverage``/``--telemetry``
+included — and hands it to one function that either submits it or runs
+it through :func:`~repro.service.jobs.execute_jobspec`. The job process
+runs that same function under the same session scope
+(:func:`~repro.sessions.session_scope`), so local and remote
+execution share one fingerprint and produce byte-identical reports,
+coverage maps and flight dumps; remote exports land in the job
+directory on the daemon side. ``submit``/``status``/``results``/
+``cancel`` talk to a running daemon directly.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .core.config import TestConfig
 from .rdma.profiles import PROFILES
@@ -142,40 +147,15 @@ def _emit_report(report: str, output: Optional[str]) -> None:
         print(f"report written to {output}")
 
 
-def _write_flight_dumps(args: argparse.Namespace,
-                        records: List[Tuple[str, str, List[list]]]) -> None:
-    """Persist anomaly flight-recorder dumps next to the coverage map.
+def _spec_opts(args: argparse.Namespace) -> dict:
+    """The JobSpec kwargs every campaign command takes from its flags.
 
-    ``records`` is ``[(name, trigger, timeline-entries), ...]`` — one
-    dump per failing/inconclusive/retried unit of work. No-op without
-    ``--coverage``.
+    Local and ``--server`` invocations build the identical spec, so the
+    session requests ride in the payload either way.
     """
-    coverage_dir = getattr(args, "coverage", None)
-    if not coverage_dir or not records:
-        return
-    from .coverage.report import flight_dump_name, render_flight_record
-
-    os.makedirs(coverage_dir, exist_ok=True)
-    for name, trigger, entries in records:
-        path = os.path.join(coverage_dir, flight_dump_name(name))
-        with open(path, "w") as handle:
-            handle.write(render_flight_record(entries, name, trigger))
-        print(f"flight record written to {path}")
-
-
-def _session_flags(args: argparse.Namespace) -> dict:
-    """JobSpec session kwargs for a --server submission.
-
-    Local invocations leave these off — ``main()`` drives the sessions
-    in-process exactly as it always has — so a plain local command and
-    a plain remote one build the identical, fingerprint-equal spec.
-    Remote jobs instead carry the request in the payload and the job
-    process exports into its job directory on the daemon side.
-    """
-    if not getattr(args, "server", None):
-        return {}
-    return {"coverage": bool(getattr(args, "coverage", None)),
-            "telemetry": bool(getattr(args, "telemetry", None))}
+    return {"faults": args.measurement_faults, "workers": args.workers,
+            "priority": args.priority, "coverage": bool(args.coverage),
+            "telemetry": bool(args.telemetry)}
 
 
 def _run_remote(args: argparse.Namespace, spec) -> int:
@@ -206,26 +186,48 @@ def _run_remote(args: argparse.Namespace, spec) -> int:
     return int(body["exit-code"])
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    from .service import JobSpec, execute_jobspec
+def _execute(args: argparse.Namespace, spec) -> int:
+    """Submit a campaign spec to ``--server``, or execute it here.
 
-    config = _load_config(args.config, args.seed)
-    spec = JobSpec.for_run(config, faults=args.measurement_faults,
-                           workers=args.workers, priority=args.priority,
-                           **_session_flags(args))
+    The one local path for ``run``/``fuzz``/``suite``/``sweep``; the
+    sessions around it are opened by :func:`main`.
+    """
     if args.server:
         return _run_remote(args, spec)
+    import time
+
+    from .service.jobs import execute_jobspec
+    from .sessions import write_flight_dumps
+
     store = _campaign_store(args)
-    outcome = execute_jobspec(spec, store=store)
+    started = time.perf_counter()
+    outcome = execute_jobspec(spec, store=store, campaign_dir=args.campaign)
+    elapsed = time.perf_counter() - started
+    for note in outcome.notes:
+        print(note)
     _emit_report(outcome.report, args.output)
-    _write_flight_dumps(args, outcome.flight_records)
+    for path in write_flight_dumps(outcome.flight_records, args.coverage):
+        print(f"flight record written to {path}")
     if store is not None:
         print(store.stats())
+    stats = outcome.stats
+    if stats:
+        rate = stats["executed"] / elapsed if elapsed > 0 else 0.0
+        print(f"{stats['executed']} of {stats['total']} runs executed in "
+              f"{elapsed:.2f}s ({rate:.2f} runs/s, workers={args.workers}, "
+              f"crashes={stats['crashes']})")
     return outcome.exit_code
 
 
+def cmd_run(args: argparse.Namespace) -> int:
+    from .service import JobSpec
+
+    config = _load_config(args.config, args.seed)
+    return _execute(args, JobSpec.for_run(config, **_spec_opts(args)))
+
+
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from .service import JobSpec, execute_jobspec
+    from .service import JobSpec
 
     if not args.target and not args.config:
         print("error: provide a config file or --target", file=sys.stderr)
@@ -233,79 +235,32 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     config = None
     if not args.target:
         config = _load_config(args.config, args.seed)
-    spec = JobSpec.for_fuzz(config=config, target=args.target,
-                            nic=args.nic, seed=args.seed,
-                            iterations=args.iterations, batch=args.batch,
-                            threshold=args.threshold,
-                            stop_on_first=args.stop_on_first,
-                            coverage_fitness=args.coverage_fitness,
-                            faults=args.measurement_faults,
-                            workers=args.workers, priority=args.priority,
-                            **_session_flags(args))
-    if args.server:
-        return _run_remote(args, spec)
-    store = _campaign_store(args)
-    outcome = execute_jobspec(spec, store=store,
-                              campaign_dir=args.campaign)
-    for note in outcome.notes:
-        print(note)
-    _emit_report(outcome.report, args.output)
-    if store is not None:
-        print(store.stats())
-    return outcome.exit_code
+    return _execute(args, JobSpec.for_fuzz(
+        config=config, target=args.target, nic=args.nic, seed=args.seed,
+        iterations=args.iterations, batch=args.batch,
+        threshold=args.threshold, stop_on_first=args.stop_on_first,
+        coverage_fitness=args.coverage_fitness, **_spec_opts(args)))
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    from .service import JobSpec, execute_jobspec
+    from .service import JobSpec
 
-    spec = JobSpec.for_suite(args.nic, seed=args.seed,
-                             checks=args.checks or None,
-                             faults=args.measurement_faults,
-                             workers=args.workers, priority=args.priority,
-                             **_session_flags(args))
-    if args.server:
-        return _run_remote(args, spec)
-    store = _campaign_store(args)
-    outcome = execute_jobspec(spec, store=store)
-    _emit_report(outcome.report, args.output)
-    _write_flight_dumps(args, outcome.flight_records)
-    if store is not None:
-        print(store.stats())
-    return outcome.exit_code
+    return _execute(args, JobSpec.for_suite(
+        args.nic, seed=args.seed, checks=args.checks or None,
+        **_spec_opts(args)))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    import time
-
-    from .service import JobSpec, execute_jobspec
+    from .service import JobSpec
 
     base_seed = args.seed if args.seed is not None else args.base_seed
     nics = [n.strip() for n in args.nics.split(",") if n.strip()]
     config = _load_config(args.config) if args.config else None
-    spec = JobSpec.for_sweep(nics=nics, seeds=args.seeds,
-                             base_seed=base_seed, config=config,
-                             verb=args.verb,
-                             connections=args.connections,
-                             messages=args.messages, size=args.size,
-                             faults=args.measurement_faults,
-                             timeout=args.timeout, workers=args.workers,
-                             priority=args.priority,
-                             **_session_flags(args))
-    if args.server:
-        return _run_remote(args, spec)
-    store = _campaign_store(args)
-    started = time.perf_counter()
-    outcome = execute_jobspec(spec, store=store)
-    elapsed = time.perf_counter() - started
-    _emit_report(outcome.report, args.output)
-    stats = outcome.stats
-    rate = stats["executed"] / elapsed if elapsed > 0 else 0.0
-    print(f"{stats['executed']} of {stats['total']} runs executed in "
-          f"{elapsed:.2f}s ({rate:.2f} runs/s, workers={args.workers}, "
-          f"crashes={stats['crashes']})")
-    if store is not None:
-        print(store.stats())
-    return outcome.exit_code
+    return _execute(args, JobSpec.for_sweep(
+        nics=nics, seeds=args.seeds, base_seed=base_seed, config=config,
+        verb=args.verb, connections=args.connections,
+        messages=args.messages, size=args.size, timeout=args.timeout,
+        **_spec_opts(args)))
 
 
 def cmd_incast(args: argparse.Namespace) -> int:
@@ -775,51 +730,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Remote execution: sessions (and their exports) live in the
         # daemon's job directory, not in this process.
         return args.func(args)
-    telemetry_dir = getattr(args, "telemetry", None)
-    coverage_dir = getattr(args, "coverage", None)
-    # `fuzz --coverage-fitness` without --coverage still needs a live
-    # session to collect the feedback — enable one in-memory (no
-    # coverage.json is exported without a directory to put it in).
-    wants_session = coverage_dir is not None or bool(
-        getattr(args, "coverage_fitness", False))
-    if telemetry_dir is None and not wants_session:
+    from .sessions import session_scope
+
+    with session_scope(getattr(args, "telemetry", None),
+                       getattr(args, "coverage", None)):
         return args.func(args)
-    from .coverage import runtime as coverage
-    from .telemetry import runtime as telemetry
-
-    if telemetry_dir is not None:
-        telemetry.enable(telemetry_dir)
-    if wants_session:
-        coverage.enable(coverage_dir)
-    try:
-        status = args.func(args)
-        cov = coverage.active()
-        if cov is not None and coverage_dir is not None:
-            from .coverage.domains import known_point_count
-            from .coverage.report import export_coverage
-
-            points = cov.total_snapshot()
-            if telemetry.active() is not None:
-                # Headline gauges for `telemetry-report`, published
-                # before the telemetry export below snapshots them.
-                tel = telemetry.current()
-                tel.gauge("coverage_domains_hit").set(
-                    len({row[0] for row in points}))
-                tel.gauge("coverage_points_hit").set(len(points))
-                tel.gauge("coverage_points_known").set(known_point_count())
-            path = export_coverage(points, coverage_dir)
-            print(f"coverage written to {path} ({len(points)} points)")
-        session = telemetry.active()
-        if session is not None:
-            paths = session.export()
-            names = sorted(p.rsplit("/", 1)[-1] for p in paths.values())
-            print(f"telemetry written to {telemetry_dir} ({', '.join(names)})")
-        return status
-    finally:
-        if wants_session:
-            coverage.disable()
-        if telemetry_dir is not None:
-            telemetry.disable()
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ downstream harness needs:
   outcome (report text, exit code, rich result object);
 * :class:`Client` — submit/status/results/cancel (plus a blocking
   ``wait()``) against a running ``repro serve`` daemon;
-* :func:`run_test` / :func:`run_suite` / :func:`run_fuzz_campaign` —
-  the historical one-call helpers, now thin wrappers that build the
-  same ``JobSpec`` the CLI builds and execute it locally (signatures
-  unchanged);
+* :func:`run_test` — one end-to-end run; it calls the orchestrator
+  directly, since a single run needs no report text or result document;
+* :func:`run_suite` / :func:`run_fuzz_campaign` — the historical
+  one-call helpers, now thin wrappers that build the same ``JobSpec``
+  the CLI builds and execute it locally (signatures unchanged);
 * :func:`save_result` / :func:`load_result` — lossless TestResult
   round-trip as standalone versioned JSON;
 * :func:`iter_analyzers` / :func:`get_analyzer` — the registered trace
@@ -29,7 +30,7 @@ startup, spawn workers).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:
     from .core.analyzers.base import Analyzer
@@ -64,12 +65,14 @@ def run_test(config: "TestConfig",
 
     With a ``store``, a previously-run identical config is replayed
     from disk — full trace included — instead of simulated again.
-    Equivalent to executing ``JobSpec.for_run(config)``.
+    This is :func:`repro.core.orchestrator.run_test` (also exported as
+    ``repro.run_test``); the result equals the ``value`` of executing
+    ``JobSpec.for_run(config)``, without rendering its report or
+    encoding its result document.
     """
-    from .service import JobSpec, execute_jobspec
+    from .core.orchestrator import run_test as _run_test
 
-    spec = JobSpec.for_run(config)
-    return execute_jobspec(spec, store=store).value
+    return _run_test(config, store=store)
 
 
 def run_suite(nic: str, seed: Optional[int] = None,

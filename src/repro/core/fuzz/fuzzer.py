@@ -263,10 +263,11 @@ class LuminaFuzzer:
         reads.
 
         Schema: ``"pool-entries"`` (one ``{score, points}`` dict per
-        pool config, same order as ``"pool"``) is the v2 pairing;
-        ``"pool-scores"`` is kept so v1 readers still find the sorted
-        score list, and v1 checkpoints without ``"pool-entries"`` still
-        load (see :meth:`load_state`). ``"coverage-map"`` is emitted
+        pool config, same order as ``"pool"``) pairs each config with
+        its score; ``"pool-scores"`` (the sorted score list) is still
+        written so the journal format stays unchanged, but
+        :meth:`load_state` rebuilds it from the entries and rejects a
+        checkpoint without them. ``"coverage-map"`` is emitted
         whenever a coverage session is active — even while empty —
         so a coverage-enabled campaign that has hit zero points is
         distinguishable from a coverage-off one on resume.
@@ -288,27 +289,23 @@ class LuminaFuzzer:
     def load_state(self, state: Dict) -> None:
         """Restore a :meth:`state_dict` checkpoint (journal resume).
 
-        v1 checkpoints (no ``"pool-entries"``) recorded configs and a
-        *sorted* score list with no linkage, so the true pairing is
-        unrecoverable; scores are assigned positionally. That preserves
-        the config order and the score multiset — everything the blind
-        selection loop reads — so resumed v1 campaigns still replay
-        byte-identically.
+        Raises ``ValueError`` on a v1 checkpoint: without
+        ``"pool-entries"`` the config/score pairing is unrecoverable.
         """
+        entries = state.get("pool-entries")
+        if entries is None:
+            raise ValueError(
+                "fuzz checkpoint has no 'pool-entries' (a v1 journal, "
+                "which is no longer supported); restart the campaign "
+                "in a fresh directory")
         self.rng.setstate(state["rng"])
         self._next_seed = state["next-seed"]
         configs = [TrafficConfig.from_dict(t) for t in state["pool"]]
-        entries = state.get("pool-entries")
-        if entries is None:
-            scores = sorted(state["pool-scores"])
-            self._pool = [PoolEntry(config=c, score=s)
-                          for c, s in zip(configs, scores)]
-        else:
-            self._pool = [
-                PoolEntry(config=c, score=e["score"],
-                          points=tuple((d, p) for d, p in e["points"]))
-                for c, e in zip(configs, entries)
-            ]
+        self._pool = [
+            PoolEntry(config=c, score=e["score"],
+                      points=tuple((d, p) for d, p in e["points"]))
+            for c, e in zip(configs, entries)
+        ]
         self._pool_scores = sorted(e.score for e in self._pool)
         self._coverage = CoverageMap.from_snapshot(
             state.get("coverage-map", []))
@@ -502,8 +499,10 @@ class LuminaFuzzer:
         ``coverage_fitness`` selects coverage-guided selection (see the
         module docstring): ``None`` (default) turns it on exactly when
         a coverage session is active; ``False`` forces the blind GA
-        even under a session; ``True`` is still a no-op without a
-        session, since there is no coverage to feed back.
+        even under a session. ``True`` needs a live session to feed
+        back: the job path (:func:`repro.service.execute_jobspec`, shared
+        by the CLI, ``repro.api`` and the job process) opens an
+        in-memory one when none is active.
         """
         batch_size = max(1, batch_size)
         cov_on = coverage.active() is not None

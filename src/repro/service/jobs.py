@@ -10,18 +10,21 @@ ones.
 
 :func:`job_worker_main` is the module-level entry point the dispatcher
 spawns as an isolated job process (picklable by reference, like
-:mod:`repro.exec.tasks`): it opens the shared campaign store, enables
-the telemetry/coverage sessions the spec asked for, executes, and
-atomically persists ``result.json`` into the job directory.
+:mod:`repro.exec.tasks`): it opens the shared campaign store, executes
+under the sessions the spec asked for (:func:`repro.sessions.\
+session_scope`, the same scope the CLI uses), and atomically persists
+``result.json`` into the job directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..sessions import session_scope, write_flight_dumps
 from .jobspec import JobSpec, decode_jobspec
 
 __all__ = ["JobOutcome", "execute_jobspec", "result_document",
@@ -113,6 +116,7 @@ def _execute_fuzz(spec: JobSpec, store,
                   campaign_dir: Optional[str]) -> JobOutcome:
     from ..core.fuzz import LuminaFuzzer
     from ..core.report import render_fuzz_summary
+    from ..coverage import runtime as coverage
     from ..store.serialize import encode_fuzz_report
 
     payload = spec.payload
@@ -139,11 +143,18 @@ def _execute_fuzz(spec: JobSpec, store,
         fuzzer = LuminaFuzzer(config,
                               seed=config.seed if seed is None else seed,
                               anomaly_threshold=payload["threshold"])
-    report = fuzzer.run(iterations=payload["iterations"],
-                        stop_on_first=payload["stop-on-first"],
-                        workers=spec.workers, batch_size=payload["batch"],
-                        store=store, campaign_dir=campaign_dir,
-                        coverage_fitness=payload.get("coverage-fitness"))
+    fitness = payload.get("coverage-fitness")
+    # `coverage-fitness: true` needs a live session to collect the
+    # feedback; without one the campaign runs guided under an in-memory
+    # session (nothing is exported without a directory to put it in).
+    in_memory = bool(fitness) and coverage.active() is None
+    with coverage.session() if in_memory else nullcontext():
+        report = fuzzer.run(iterations=payload["iterations"],
+                            stop_on_first=payload["stop-on-first"],
+                            workers=spec.workers,
+                            batch_size=payload["batch"], store=store,
+                            campaign_dir=campaign_dir,
+                            coverage_fitness=fitness)
     return JobOutcome(kind="fuzz", report=render_fuzz_summary(report),
                       exit_code=0 if report.found_anomaly else 2,
                       value=report,
@@ -243,16 +254,6 @@ def read_result_document(job_dir: str) -> Optional[Dict]:
 # The spawned job process
 # ---------------------------------------------------------------------------
 
-def _write_job_flight_dumps(outcome: JobOutcome, coverage_dir: str) -> None:
-    from ..coverage.report import flight_dump_name, render_flight_record
-
-    os.makedirs(coverage_dir, exist_ok=True)
-    for name, trigger, entries in outcome.flight_records:
-        path = os.path.join(coverage_dir, flight_dump_name(name))
-        with open(path, "w") as handle:
-            handle.write(render_flight_record(entries, name, trigger))
-
-
 def job_worker_main(spec_doc: Dict, job_dir: str,
                     store_root: Optional[str],
                     campaign_dir: Optional[str] = None) -> Dict:
@@ -261,9 +262,9 @@ def job_worker_main(spec_doc: Dict, job_dir: str,
     The dispatcher's process executor spawns this as the child's
     target; the inline executor calls it directly. Either way the
     result document lands atomically in ``job_dir/result.json`` (and is
-    returned, for in-process callers). Telemetry and coverage sessions
-    requested by the spec are scoped to this function and export into
-    the job directory.
+    returned, for in-process callers). The telemetry and coverage
+    sessions the spec asks for run under :func:`session_scope` and
+    export into ``job_dir/telemetry`` and ``job_dir/coverage``.
 
     ``campaign_dir`` hosts a fuzz job's generation journal. The
     dispatcher keys it by spec *fingerprint* (not job id), so a fuzz
@@ -278,44 +279,14 @@ def job_worker_main(spec_doc: Dict, job_dir: str,
         from ..store import CampaignStore
 
         store = CampaignStore(store_root)
-    wants_coverage = bool(spec.payload.get("coverage"))
-    wants_telemetry = bool(spec.payload.get("telemetry"))
-    coverage_dir = os.path.join(job_dir, "coverage")
-    if wants_telemetry:
-        from ..telemetry import runtime as telemetry
-
-        telemetry.enable(os.path.join(job_dir, "telemetry"))
-    if wants_coverage:
-        from ..coverage import runtime as coverage
-
-        coverage.enable(coverage_dir)
-    try:
-        outcome = execute_jobspec(
-            spec, store=store,
-            campaign_dir=campaign_dir if spec.kind == "fuzz" else None)
-        if wants_coverage:
-            from ..coverage import runtime as coverage
-            from ..coverage.report import export_coverage
-
-            _write_job_flight_dumps(outcome, coverage_dir)
-            session = coverage.active()
-            if session is not None:
-                export_coverage(session.total_snapshot(), coverage_dir)
-        if wants_telemetry:
-            from ..telemetry import runtime as telemetry
-
-            session = telemetry.active()
-            if session is not None:
-                session.export()
-    finally:
-        if wants_coverage:
-            from ..coverage import runtime as coverage
-
-            coverage.disable()
-        if wants_telemetry:
-            from ..telemetry import runtime as telemetry
-
-            telemetry.disable()
+    coverage_dir = (os.path.join(job_dir, "coverage")
+                    if spec.payload.get("coverage") else None)
+    telemetry_dir = (os.path.join(job_dir, "telemetry")
+                     if spec.payload.get("telemetry") else None)
+    with session_scope(telemetry_dir, coverage_dir):
+        outcome = execute_jobspec(spec, store=store,
+                                  campaign_dir=campaign_dir)
+        write_flight_dumps(outcome.flight_records, coverage_dir)
     doc = result_document(spec, outcome)
     write_result_document(doc, job_dir)
     return doc

@@ -5,7 +5,7 @@ Covers the feedback loop added on top of Algorithm 1 (FP4-style):
 * golden novelty-score values for fixed inputs,
 * the (score, config) pool pairing — including the regression where
   resumed and fresh campaigns must agree on which config owns which
-  score, and loading legacy v1 checkpoints that lack the pairing,
+  score, and rejecting legacy v1 checkpoints that lack the pairing,
 * the 1-indexed lower bound in ``clamp_events``,
 * checkpoints that keep coverage mode visible even at zero points,
 * first-hit admission, dominance minimization determinism, and
@@ -169,13 +169,9 @@ class TestPoolPairing:
             [(e.config, e.score, e.points) for e in fresh._pool]
         assert encode_fuzz_report(report_a) == encode_fuzz_report(report_b)
 
-    def test_legacy_v1_checkpoint_without_pairing_still_resumes(
+    def test_v1_checkpoint_without_pairing_is_rejected(
             self, tmp_path, monkeypatch):
         base = _base()
-        clean = LuminaFuzzer(base, seed=7, anomaly_threshold=2.5)
-        report_a = clean.run(iterations=6, batch_size=2,
-                             campaign_dir=str(tmp_path / "clean"))
-
         monkeypatch.setenv("REPRO_CAMPAIGN_CRASH_AFTER_GEN", "1")
         with pytest.raises(SystemExit):
             LuminaFuzzer(base, seed=7, anomaly_threshold=2.5).run(
@@ -196,12 +192,9 @@ class TestPoolPairing:
                                         separators=(",", ":")) + "\n")
 
         resumed = LuminaFuzzer(base, seed=7, anomaly_threshold=2.5)
-        report_b = resumed.run(iterations=6, batch_size=2,
-                               campaign_dir=str(tmp_path / "crash"))
-        # Blind selection reads only the config order and the score
-        # multiset, both preserved by the positional fallback — the
-        # finished report is still byte-identical.
-        assert encode_fuzz_report(report_a) == encode_fuzz_report(report_b)
+        with pytest.raises(ValueError, match="pool-entries"):
+            resumed.run(iterations=6, batch_size=2,
+                        campaign_dir=str(tmp_path / "crash"))
 
 
 class TestCheckpointCoverage:

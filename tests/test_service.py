@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -64,11 +65,9 @@ class TestDocumentEnvelope:
         assert version == DOCUMENT_SCHEMA_VERSION
         assert body == {"a": 1}
 
-    def test_legacy_document_warns(self):
-        with pytest.warns(DeprecationWarning):
-            version, body = unwrap_document({"a": 1})
-        assert version == 0
-        assert body == {"a": 1}
+    def test_unversioned_document_rejected(self):
+        with pytest.raises(ValueError, match="schema-version"):
+            unwrap_document({"a": 1})
 
     def test_future_version_rejected(self):
         doc = {"schema-version": DOCUMENT_SCHEMA_VERSION + 1,
@@ -91,12 +90,9 @@ class TestJobSpec:
         spec = suite_spec(priority=3, workers=2, timeout_s=9.0)
         assert decode_jobspec(encode_jobspec(spec)) == spec
 
-    def test_legacy_spec_decodes_with_warning(self):
-        spec = suite_spec()
-        with pytest.warns(DeprecationWarning):
-            legacy = decode_jobspec({"job-kind": "suite",
-                                     "payload": SUITE_PAYLOAD})
-        assert legacy.fingerprint == spec.fingerprint
+    def test_unversioned_spec_rejected(self):
+        with pytest.raises(ValueError, match="schema-version"):
+            decode_jobspec({"job-kind": "suite", "payload": SUITE_PAYLOAD})
 
     def test_fingerprint_ignores_execution_knobs(self):
         base = suite_spec()
@@ -329,13 +325,24 @@ class TestExecuteJobspec:
         assert outcome.report == render_report(run_test(config))
         assert outcome.exit_code == 0
 
-    def test_api_shims_build_the_same_jobspec_path(self):
+    def test_api_shims_build_the_same_jobspec_path(self, monkeypatch):
+        import itertools
+
+        import repro
         from repro import api
+        from repro.rdma import verbs
+        from repro.store.serialize import encode_result
 
         card = api.run_suite("cx5", checks=["gbn-logic"])
         assert card.all_passed
+        # Work-request ids come from a process-wide counter; restart it
+        # so both runs draw the same ids.
+        monkeypatch.setattr(verbs, "_wr_ids", itertools.count(1))
         result = api.run_test(quick_config(num_msgs=2, seed=11))
         assert result.ok
+        monkeypatch.setattr(verbs, "_wr_ids", itertools.count(1))
+        direct = repro.run_test(quick_config(num_msgs=2, seed=11))
+        assert encode_result(direct) == encode_result(result)
         report = api.run_fuzz_campaign(quick_config(num_msgs=2, seed=11),
                                        iterations=2, batch_size=2)
         assert report.iterations_run == 2
@@ -470,6 +477,53 @@ class TestServiceCLI:
         printed = capsys.readouterr().out
         assert "submitted job-" in printed
         assert local_out.read_bytes() == remote_out.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{config}", "--coverage", "{cov}", "--telemetry", "{tel}"],
+        ["suite", "cx5", "--checks", "gbn-logic",
+         "--measurement-faults", "mirror-loss", "--coverage", "{cov}"],
+        ["fuzz", "--target", "general", "-n", "8", "--coverage-fitness"],
+    ], ids=["run-coverage-telemetry", "suite-flight-dump",
+            "fuzz-coverage-fitness"])
+    def test_local_and_service_outputs_match(self, daemon, tmp_path,
+                                             capsys, argv):
+        from repro.__main__ import main
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(quick_config(num_msgs=2,
+                                                  seed=11).to_dict()))
+        local = tmp_path / "local"
+
+        def cli(extra, out):
+            args = [a.format(config=config, cov=local / "cov",
+                             tel=local / "tel") for a in argv]
+            return main(args + extra + ["-o", str(out)])
+
+        local_status = cli([], tmp_path / "local.txt")
+        remote_status = cli(["--server", daemon.url],
+                            tmp_path / "remote.txt")
+        capsys.readouterr()
+        assert local_status == remote_status
+        assert ((tmp_path / "local.txt").read_bytes()
+                == (tmp_path / "remote.txt").read_bytes())
+
+        job_id = Client(daemon.url).jobs()[-1]["id"]
+        job_dir = Path(daemon.job_dir(job_id))
+        if "--coverage" in argv:
+            assert ((local / "cov" / "coverage.json").read_bytes()
+                    == (job_dir / "coverage" / "coverage.json").read_bytes())
+            local_dumps = sorted((local / "cov").glob("flight-*.txt"))
+            remote_dumps = sorted((job_dir / "coverage").glob("flight-*.txt"))
+            assert ([p.name for p in local_dumps]
+                    == [p.name for p in remote_dumps])
+            assert ([p.read_bytes() for p in local_dumps]
+                    == [p.read_bytes() for p in remote_dumps])
+            if argv[0] == "suite":
+                assert local_dumps  # mirror loss leaves a flight dump
+        if "--telemetry" in argv:
+            for metrics in (local / "tel" / "metrics.prom",
+                            job_dir / "telemetry" / "metrics.prom"):
+                assert "coverage_points_hit" in metrics.read_text()
 
     def test_server_rejects_campaign_flag(self, daemon, capsys):
         from repro.__main__ import main
