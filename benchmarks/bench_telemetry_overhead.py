@@ -27,8 +27,8 @@ from workloads import two_host_config
 from repro.core.config import TrafficConfig
 from repro.core.orchestrator import run_test
 from repro.coverage import runtime as coverage
+from repro.coverage.map import NULL_DOMAIN
 from repro.coverage.recorder import NULL_RECORDER
-from repro.coverage.runtime import NULL_DOMAIN
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE
 

@@ -44,10 +44,9 @@ def emit(name: str, lines) -> str:
 @pytest.fixture(scope="session", autouse=_TELEMETRY_ON)
 def bench_telemetry():
     """Session-wide telemetry, gated on REPRO_BENCH_TELEMETRY=1."""
-    from repro.telemetry import runtime as telemetry
+    from repro.sessions import session_scope
 
-    out_dir = RESULTS_DIR / "telemetry"
-    with telemetry.session(str(out_dir), export_on_exit=True) as session:
+    with session_scope(telemetry=str(RESULTS_DIR / "telemetry")) as session:
         yield session
 
 

@@ -436,12 +436,13 @@ class LuminaFuzzer:
                         # Scoped capture: isolate this candidate's
                         # coverage delta even for custom run_fns that
                         # hit points without attaching them to the
-                        # result; the scope folds back into the
-                        # session on exit, so the session total is
-                        # unchanged. run_test-produced results already
-                        # carry their own (identical) run snapshot.
+                        # result, then fold the scope back into the
+                        # session so the session total is unchanged.
+                        # run_test-produced results already carry
+                        # their own (identical) run snapshot.
                         with cov.scope() as run_scope:
                             result = self._run(config)
+                        cov.live.merge_map(run_scope)
                         rows = result.coverage
                         if rows is None and len(run_scope):
                             rows = run_scope.snapshot()

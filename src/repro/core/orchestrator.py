@@ -91,9 +91,7 @@ class Orchestrator:
         pack_hits_start = pack_cache_hits()
         policy = self.config.retry
         cov = coverage.active()
-        if cov is not None:
-            cov.push_scope()
-        try:
+        with coverage.current().scope() as run_map:
             attempts: List[AttemptRecord] = []
             backoff = 0
             result: TestResult
@@ -128,9 +126,6 @@ class Orchestrator:
                     break
                 backoff = policy.backoff_for(attempt)
                 record.backoff_ns = backoff
-        finally:
-            if cov is not None:
-                run_map = cov.pop_scope()
         result.attempts = attempts
         if cov is not None:
             result.coverage = run_map.snapshot()

@@ -560,11 +560,8 @@ def run_single_check(name: str, nic: str, seed: int,
     if cov is None:
         return CHECKS[name](nic, seed, scenario)
     cov.reset_recorders()
-    cov.push_scope()
-    try:
+    with cov.scope() as check_map:
         result = CHECKS[name](nic, seed, scenario)
-    finally:
-        check_map = cov.pop_scope()
     result.coverage = check_map.snapshot()
     if result.outcome is not Outcome.PASS:
         result.flight_record = cov.flight_snapshot()

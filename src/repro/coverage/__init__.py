@@ -17,31 +17,25 @@ observability primitives layered on the telemetry conventions:
   when a check FAILs, goes INCONCLUSIVE or an integrity retry fires —
   turning "test 83 failed" into an inspectable micro-behavior timeline.
 
-The runtime contract copies telemetry's: at most one session is active
-(:func:`~repro.coverage.runtime.enable` / ``disable``), components
-fetch handles once at construction through
-:func:`~repro.coverage.runtime.current` (never None — no-op twins when
-disabled), and nothing here ever feeds information back into the
-simulation, so runs with coverage on or off produce byte-identical
-traces and verdicts.
+Coverage is the *coverage facet* of the one observability session
+(:mod:`repro.sessions`), which it shares with telemetry. It is **off by
+default** and free when off: components fetch handles once at
+construction through :func:`~repro.coverage.runtime.current` (null
+handles while coverage is off), and nothing here ever feeds information
+back into the simulation, so runs with coverage on or off produce
+byte-identical traces and verdicts. Enable with ``--coverage DIR``, via
+:func:`enable`/:func:`disable`, or scoped with ``with
+repro.sessions.session_scope(coverage="out/"):``.
 """
 
 from .domains import DOMAINS, known_point_count
 from .map import CoverageMap
 from .recorder import NULL_RECORDER, FlightRecorder
-from .runtime import (
-    NULL_COVERAGE,
-    CoverageSession,
-    active,
-    current,
-    disable,
-    enable,
-    session,
-)
+from .runtime import active, current, disable, enable
 
 __all__ = [
-    "CoverageMap", "CoverageSession", "FlightRecorder",
+    "CoverageMap", "FlightRecorder",
     "DOMAINS", "known_point_count",
-    "NULL_COVERAGE", "NULL_RECORDER",
-    "enable", "disable", "current", "active", "session",
+    "NULL_RECORDER",
+    "enable", "disable", "current", "active",
 ]

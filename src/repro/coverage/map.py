@@ -6,7 +6,9 @@ a picklable snapshot in, or folding another map in — are commutative
 and associative (counts sum, first-hit times take the minimum), which
 is what makes campaign aggregation deterministic: merging per-run maps
 in any order, across any number of ``ParallelRunner`` workers, yields
-the same map and therefore the same canonical JSON bytes.
+the same map and therefore the same canonical JSON bytes. Components
+hit the session's innermost map through a cached :class:`DomainHandle`
+(the :data:`NULL_DOMAIN` twin while coverage is off).
 
 Sim-times are integer nanoseconds from the seeded engine clock; this
 module never reads wall clocks or randomness (DET001/DET002 apply to
@@ -19,7 +21,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["CoverageMap", "canonical_coverage_json"]
+__all__ = ["CoverageMap", "DomainHandle", "NullDomainHandle", "NULL_DOMAIN",
+           "canonical_coverage_json"]
 
 #: (domain, point) — e.g. ("rdma.gbn", "timeout-retransmit").
 PointKey = Tuple[str, str]
@@ -124,6 +127,38 @@ class CoverageMap:
         if not isinstance(other, CoverageMap):
             return NotImplemented
         return self._points == other._points
+
+
+class DomainHandle:
+    """A component's cached handle for one coverage domain.
+
+    Re-reads ``session.live`` on every hit, so handles created before a
+    scope opens keep recording into the innermost scope.
+    """
+
+    __slots__ = ("_session", "name")
+    enabled = True
+
+    def __init__(self, session, name: str):
+        self._session = session
+        self.name = name
+
+    def hit(self, point: str, now_ns: int = 0) -> None:
+        self._session.live.hit(self.name, point, now_ns)
+
+
+class NullDomainHandle:
+    """Coverage-off twin: one empty method call per instrumented site."""
+
+    __slots__ = ()
+    enabled = False
+    name = ""
+
+    def hit(self, point: str, now_ns: int = 0) -> None:
+        pass
+
+
+NULL_DOMAIN = NullDomainHandle()
 
 
 def canonical_coverage_json(snapshot: Iterable[Sequence]) -> str:

@@ -3,8 +3,8 @@
 Each component (a QP, a NIC, the switch pipeline) owns one bounded
 ring. Recording an event is one deque append; nothing is formatted or
 written until a trigger fires (check FAIL, INCONCLUSIVE verdict,
-integrity retry) and the session's :meth:`~repro.coverage.runtime.
-CoverageSession.flight_snapshot` is taken. A session-wide sequence
+integrity retry) and the session's :meth:`~repro.sessions.Session.
+flight_snapshot` is taken. A session-wide sequence
 number gives the merged timeline a stable total order even when two
 components record at the same sim nanosecond.
 
@@ -17,10 +17,10 @@ from collections import deque
 from typing import List
 
 __all__ = ["FlightRecorder", "NullFlightRecorder", "NULL_RECORDER",
-           "DEFAULT_RING_SIZE"]
+           "RING_SIZE"]
 
 #: Events kept per component before the ring overwrites itself.
-DEFAULT_RING_SIZE = 64
+RING_SIZE = 64
 
 
 class FlightRecorder:
@@ -29,11 +29,10 @@ class FlightRecorder:
     __slots__ = ("_session", "component", "_ring")
     enabled = True
 
-    def __init__(self, session, component: str,
-                 ring_size: int = DEFAULT_RING_SIZE):
+    def __init__(self, session, component: str):
         self._session = session
         self.component = component
-        self._ring: deque = deque(maxlen=ring_size)
+        self._ring: deque = deque(maxlen=RING_SIZE)
 
     def note(self, now_ns: int, event: str, detail: str = "") -> None:
         """Record one event at sim-time ``now_ns``."""

@@ -10,8 +10,8 @@ while keeping results byte-identical to serial execution:
   telemetry merge.
 * :mod:`repro.exec.tasks` — the picklable task functions (score a fuzz
   candidate, run a conformance check, summarise a sweep run).
-* :mod:`repro.exec.worker` — the worker-side shim that wraps each task
-  in a worker-local telemetry session.
+* :mod:`repro.exec.worker` — the worker-side shim that runs each task
+  under a worker-local session with the parent's facets on.
 """
 
 from .runner import (ParallelRunner, RunnerStats, TaskOutcome,

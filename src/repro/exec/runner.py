@@ -12,9 +12,10 @@ ProcessPoolExecutor` and hides the operational sharp edges:
 * a worker crash (``BrokenProcessPool``) re-runs the affected tasks on
   a fresh pool, and after ``max_retries`` attempts runs them in-process
   so a dying pool never loses campaign work,
-* per-worker telemetry registries are snapshotted in the worker and
-  merged into the parent's active session in task order, keeping
-  merged metrics deterministic for any worker count.
+* workers run each task with the parent session's facets on; their
+  metrics registries are snapshotted and merged into the parent's
+  session in task order, keeping merged metrics deterministic for any
+  worker count.
 
 Determinism contract: the runner never reorders results (outcome ``i``
 always corresponds to payload ``i``) and injects no randomness, so any
@@ -32,8 +33,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..coverage import runtime as coverage
-from ..telemetry import runtime as telemetry
+from .. import sessions
 from . import worker as worker_mod
 
 __all__ = ["TaskOutcome", "RunnerStats", "ParallelRunner",
@@ -122,7 +122,6 @@ class ParallelRunner:
     """
 
     def __init__(self, task_fn: Callable[[Any], Any], workers: int = 1,
-                 mp_context: str = "spawn",
                  task_timeout_s: Optional[float] = None,
                  max_retries: int = 2):
         if workers < 1:
@@ -140,7 +139,6 @@ class ParallelRunner:
         self.task_timeout_s = task_timeout_s
         self.max_retries = max(1, max_retries)
         self.stats = RunnerStats()
-        self._mp_context = mp_context
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._pool_dead = False
         self._pool_breaks = 0
@@ -157,7 +155,7 @@ class ParallelRunner:
         try:
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=get_context(self._mp_context),
+                mp_context=get_context("spawn"),
                 initializer=worker_mod.init_worker,
             )
             self.stats.pools_created += 1
@@ -238,9 +236,8 @@ class ParallelRunner:
                         f"picklable data")
         n = len(payloads)
         outcomes: List[Optional[TaskOutcome]] = [None] * n
-        session = telemetry.active()
-        collect = session is not None and self.workers > 1
-        collect_cov = coverage.active() is not None and self.workers > 1
+        session = sessions.current()
+        facets = session.facets()
 
         pending = list(range(n))
         attempts = [0] * n
@@ -254,7 +251,7 @@ class ParallelRunner:
                 break
             futures = {
                 i: pool.submit(worker_mod.invoke, self.task_fn,
-                               payloads[i], collect, collect_cov)
+                               payloads[i], facets)
                 for i in pending
             }
             next_pending: List[int] = []
@@ -311,7 +308,6 @@ class ParallelRunner:
 
         # Merge worker telemetry in task order so the parent registry
         # is identical for any worker count / completion order.
-        if session is not None:
-            for i in sorted(snapshots):
-                session.registry.merge(snapshots[i])
+        for i in sorted(snapshots):
+            session.registry.merge(snapshots[i])
         return outcomes  # type: ignore[return-value]

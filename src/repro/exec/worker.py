@@ -2,21 +2,24 @@
 
 Everything here must be importable by a freshly ``spawn``-ed process:
 the :class:`~repro.exec.runner.ParallelRunner` submits
-``invoke(task_fn, payload, collect_telemetry)`` to the pool, and the
-child pickles ``task_fn`` *by reference* — so task functions must be
-plain module-level callables (see :mod:`repro.exec.tasks`).
+``invoke(task_fn, payload, facets)`` to the pool, and the child pickles
+``task_fn`` *by reference* — so task functions must be plain
+module-level callables (see :mod:`repro.exec.tasks`).
 
-Each invocation optionally runs under a private, worker-local
-telemetry session. The session's metrics registry is snapshotted into
-a plain, picklable structure and shipped back alongside the task value
-so the parent can merge it into its own registry (span traces stay in
-the worker; only metrics cross the process boundary — they are compact
-and mergeable, traces are neither).
+Each invocation runs under a worker-local session with the parent's
+facets (:meth:`repro.sessions.Session.facets`) switched on. Only the
+metrics registry's snapshot travels back alongside the task value, for
+the parent to merge into its own registry: span traces stay in the
+worker (they are neither compact nor mergeable), and coverage rides on
+the task's return value (results, scores and check verdicts carry their
+own snapshots).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
+
+from ..sessions import session_scope
 
 #: True inside pool workers (set by the pool initializer). Task
 #: functions may consult this to tell pool execution apart from the
@@ -34,36 +37,12 @@ def init_worker() -> None:
 
 
 def invoke(task_fn: Callable[[Any], Any], payload: Any,
-           collect_telemetry: bool,
-           collect_coverage: bool = False) -> Tuple[Any, Optional[list]]:
-    """Run one task, optionally under worker-local observability sessions.
+           facets: Tuple[bool, bool]) -> Tuple[Any, list]:
+    """Run one task under a session with the parent's ``facets`` on.
 
-    Returns ``(value, metrics_snapshot_or_None)``. Raises whatever the
-    task raises — the parent maps exceptions to error outcomes.
-
-    With ``collect_coverage`` a private coverage session is active for
-    the task's duration; coverage data crosses the process boundary on
-    the task's *return value* (results/scores/check verdicts carry
-    their own snapshots), so nothing coverage-related is added to the
-    return tuple.
+    Returns ``(value, metrics_snapshot)``; the snapshot is empty while
+    metrics are off. Raises whatever the task raises — the parent maps
+    exceptions to error outcomes.
     """
-    if collect_coverage:
-        from ..coverage import runtime as coverage
-
-        coverage.enable()
-    try:
-        if not collect_telemetry:
-            return task_fn(payload), None
-        from ..telemetry import runtime as telemetry
-
-        session = telemetry.enable(None)
-        try:
-            value = task_fn(payload)
-            return value, session.registry.snapshot()
-        finally:
-            telemetry.disable()
-    finally:
-        if collect_coverage:
-            from ..coverage import runtime as coverage
-
-            coverage.disable()
+    with session_scope(*facets) as session:
+        return task_fn(payload), session.registry.snapshot()

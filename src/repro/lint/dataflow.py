@@ -525,7 +525,7 @@ class SpawnRaceRule(ProgramRule):
         "core.fuzz.fuzzer.LuminaFuzzer.run",
         "core.sweep.run_sweep",
     )
-    _MERGE_RECEIVER_HINTS = ("coverage", "telemetry", "registry")
+    _MERGE_RECEIVER_HINTS = ("coverage", "telemetry", "registry", "sessions")
     _MERGE_RECEIVER_NAMES = {"cov", "session", "registry", "total", "tel"}
 
     def check_program(self, program: Program) -> Iterator[Finding]:
@@ -647,8 +647,9 @@ class SpawnRaceRule(ProgramRule):
     # -- merge discipline ----------------------------------------------
     def _check_merge_discipline(self, program: Program, ctx: ModuleContext,
                                 info) -> Iterator[Finding]:
-        parts = info.path.split("/")[:-1]
-        if "coverage" in parts or "telemetry" in parts:
+        parts = info.path.split("/")
+        if "coverage" in parts[:-1] or "telemetry" in parts[:-1] or \
+                parts[-1] == "sessions.py":
             return  # the merge implementations themselves
         if any(info.qname.endswith(point) for point in self._MERGE_POINTS):
             return

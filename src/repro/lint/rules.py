@@ -481,6 +481,9 @@ class SpawnSafetyRule(Rule):
 # ======================================================================
 _SESSION_NAME_HINTS = {"tel", "telemetry", "session", "sess", "registry",
                        "cov", "coverage"}
+#: Modules whose accessors hand out the observability session: the two
+#: facet runtimes and ``repro.sessions`` itself.
+_SESSION_MODULE_HINTS = ("telemetry", "coverage", "sessions")
 _HANDLE_FACTORIES = {"counter", "gauge", "histogram", "domain", "recorder"}
 
 
@@ -516,8 +519,8 @@ class TelemetryHandleRule(Rule):
 
     @staticmethod
     def _session_locals(ctx: ModuleContext) -> Set[str]:
-        """Names assigned from telemetry/coverage current()/active()/
-        enable()."""
+        """Names assigned from a session accessor (current()/active()/
+        enable())."""
         names: Set[str] = set()
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Assign) or \
@@ -527,7 +530,7 @@ class TelemetryHandleRule(Rule):
             if callee is None:
                 continue
             if callee.endswith((".current", ".active", ".enable")) and \
-                    ("telemetry" in callee or "coverage" in callee):
+                    any(hint in callee for hint in _SESSION_MODULE_HINTS):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)
@@ -537,8 +540,8 @@ class TelemetryHandleRule(Rule):
     def _receiver_is_session(ctx: ModuleContext, receiver: ast.AST,
                              session_locals: Set[str]) -> bool:
         resolved = ctx.resolve(receiver)
-        if resolved is not None and ("telemetry" in resolved
-                                     or "coverage" in resolved):
+        if resolved is not None and any(hint in resolved
+                                        for hint in _SESSION_MODULE_HINTS):
             return True
         if isinstance(receiver, ast.Name):
             return (receiver.id in session_locals

@@ -7,13 +7,11 @@ create on purpose — fails this check at the receiving RNIC and shows up
 in the ``rx_icrc_errors`` counter.
 
 The polynomial is the standard reflected CRC-32 (0xEDB88320) used by
-InfiniBand — the same one :func:`zlib.crc32` implements in C. The fold
-therefore runs on zlib, with the historical table-driven pure-Python
-implementation kept as ``crc32_ib_py``/``icrc_for_py`` both as a
-fallback and as an independent oracle for the parity tests. The two
-backends are related by a complement at the chaining boundary:
-``table_fold(data, crc) ^ 0xFFFFFFFF == zlib.crc32(data, crc ^ 0xFFFFFFFF)``
-so every value returned here is bit-identical whichever backend runs.
+InfiniBand — the same one :func:`zlib.crc32` implements in C, so the
+fold runs on zlib. The historical table-driven implementation survives
+only as the parity oracle in ``tests/crc_oracle.py``; the two are
+related by a complement at the chaining boundary:
+``table_fold(data, crc) ^ 0xFFFFFFFF == zlib.crc32(data, crc ^ 0xFFFFFFFF)``.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ import zlib
 from functools import lru_cache
 from typing import Iterable, List, Tuple
 
-__all__ = ["crc32_ib", "icrc_for", "icrc_many", "icrc_batch_stats",
-           "crc32_ib_py", "icrc_for_py"]
-
-_POLY = 0xEDB88320
+__all__ = ["crc32_ib", "icrc_for", "icrc_many", "icrc_batch_stats"]
 
 #: Reusable all-zero buffer for the simulated payload fold. Payloads in
 #: the model are virtual (only their length matters), so the iCRC folds
@@ -39,22 +34,6 @@ def _zeros(n: int) -> memoryview:
     if n > len(_ZEROS):
         _ZEROS = bytes(max(n, 2 * len(_ZEROS)))
     return memoryview(_ZEROS)[:n]
-
-
-def _build_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _POLY
-            else:
-                crc >>= 1
-        table.append(crc)
-    return table
-
-
-_TABLE = _build_table()
 
 
 def crc32_ib(data: bytes, crc: int = 0xFFFFFFFF) -> int:
@@ -123,25 +102,3 @@ _batch_misses = 0
 def icrc_batch_stats() -> Tuple[int, int]:
     """Cumulative (hits, misses) across all icrc_many() batches."""
     return _batch_hits, _batch_misses
-
-
-# ----------------------------------------------------------------------
-# Pure-Python fallback (the pre-zlib implementation). Kept verbatim as
-# an oracle: tests assert bit-parity with the zlib backend over random
-# buffers, lengths and chained folds.
-# ----------------------------------------------------------------------
-def crc32_ib_py(data: bytes, crc: int = 0xFFFFFFFF) -> int:
-    """Table-driven reference implementation of :func:`crc32_ib`."""
-    for byte in data:
-        crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
-
-
-def icrc_for_py(transport_bytes: bytes, payload_len: int) -> int:
-    """Table-driven reference implementation of :func:`icrc_for`."""
-    crc = 0xFFFFFFFF
-    for byte in transport_bytes:
-        crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
-    for _ in range(payload_len):
-        crc = (crc >> 8) ^ _TABLE[crc & 0xFF]
-    return crc ^ 0xFFFFFFFF

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -144,11 +143,12 @@ def _execute_fuzz(spec: JobSpec, store,
                               seed=config.seed if seed is None else seed,
                               anomaly_threshold=payload["threshold"])
     fitness = payload.get("coverage-fitness")
-    # `coverage-fitness: true` needs a live session to collect the
-    # feedback; without one the campaign runs guided under an in-memory
-    # session (nothing is exported without a directory to put it in).
+    # `coverage-fitness: true` needs live coverage to collect the
+    # feedback; without it the campaign runs guided under an in-memory
+    # coverage facet (nothing is exported without a directory to put it
+    # in), leaving the telemetry facet as it is.
     in_memory = bool(fitness) and coverage.active() is None
-    with coverage.session() if in_memory else nullcontext():
+    with session_scope(coverage=in_memory):
         report = fuzzer.run(iterations=payload["iterations"],
                             stop_on_first=payload["stop-on-first"],
                             workers=spec.workers,

@@ -13,15 +13,17 @@ pool, the orchestrator and the fuzzer — emits into one session:
 * **JSONL event log** (:mod:`.export`): the same records, one JSON
   object per line, for scripts.
 
-Telemetry is **off by default** and free when off: disabled components
-hold shared no-op metric handles and the engine skips its probe branch,
-so deterministic results are byte-identical either way (see
-:mod:`.runtime` for the guarantee and the tests that enforce it).
+Telemetry is the *metrics facet* of the one observability session
+(:mod:`repro.sessions`), which it shares with coverage. It is **off by
+default** and free when off: components hold the shared no-op metric
+handles and the engine skips its probe branch, so deterministic results
+are byte-identical either way (see :mod:`repro.sessions` for the
+guarantee and the tests that enforce it).
 
 Enable with ``--telemetry DIR`` on any CLI command, programmatically via
 :func:`enable`/:func:`disable`, or scoped with ``with
-telemetry.session("out/"):``. Summarize a run directory with
-``python -m repro telemetry-report out/``.
+repro.sessions.session_scope(telemetry="out/"):``. Summarize a run
+directory with ``python -m repro telemetry-report out/``.
 """
 
 from .metrics import (
@@ -34,15 +36,7 @@ from .metrics import (
     NULL_HISTOGRAM,
 )
 from .spans import Tracer, SpanRecord, InstantRecord
-from .runtime import (
-    NULL_SESSION,
-    TelemetrySession,
-    active,
-    current,
-    disable,
-    enable,
-    session,
-)
+from .runtime import active, current, disable, enable
 from .export import (
     export_run,
     jsonl_lines,
@@ -57,8 +51,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
     "Tracer", "SpanRecord", "InstantRecord",
-    "TelemetrySession", "NULL_SESSION",
-    "enable", "disable", "current", "active", "session",
+    "enable", "disable", "current", "active",
     "export_run", "jsonl_lines", "parse_prometheus",
     "to_chrome_trace", "to_prometheus",
     "SimProbe", "attach_simulator", "attach_testbed",

@@ -1,160 +1,38 @@
-"""Session lifecycle: the global on/off switch for telemetry.
+"""Metrics-facet accessors over the one observability session.
 
-One :class:`TelemetrySession` bundles a metrics registry and a tracer.
-At most one session is active at a time; components reach it through
-two accessors with different cost profiles:
-
-* :func:`current` — never None. Returns the active session or the
-  shared :data:`NULL_SESSION`, whose factories hand out no-op metric
-  and tracer twins. Use it where holding a handle is enough (a counter
-  created at construction and bumped on the hot path costs one empty
-  method call when disabled).
-* :func:`active` — the active session or ``None``. Use it to guard
-  work that is not free even in no-op form: taking wall-clock readings,
-  building span argument dicts, attaching the simulator probe.
-
-Determinism guarantee: nothing in this package feeds information back
-into the simulation. Telemetry observes sim state and wall time but
-never schedules events, draws randomness from the seeded PRNG, or
-mutates component state — so a run with telemetry enabled produces
-byte-identical traces and verdicts to a disabled run (enforced by
-``tests/test_telemetry_determinism.py``).
+The session itself — registry and tracer, the null handles it hands
+out while metrics are off, and the determinism guarantee — lives in
+:mod:`repro.sessions`. Components import this module as ``telemetry``
+and use the two accessors whose cost profiles that module describes:
+:func:`current` (never None) to fetch handles once, :func:`active`
+(``None`` while metrics are off) to guard work that is not free.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .metrics import MetricsRegistry, NULL_REGISTRY
-from .spans import NULL_TRACER, Tracer
+from .. import sessions
 
-__all__ = ["TelemetrySession", "NULL_SESSION", "enable", "disable",
-           "current", "active", "session"]
+__all__ = ["enable", "disable", "current", "active"]
 
 
-class TelemetrySession:
-    """A live telemetry collection: registry + tracer + export target."""
-
-    enabled = True
-
-    def __init__(self, out_dir: Optional[str] = None):
-        self.out_dir = out_dir
-        self.registry = MetricsRegistry()
-        self.tracer = Tracer()
-
-    # Convenience pass-throughs so instrumentation sites read naturally.
-    def counter(self, name: str, **labels):
-        return self.registry.counter(name, **labels)
-
-    def gauge(self, name: str, **labels):
-        return self.registry.gauge(name, **labels)
-
-    def histogram(self, name: str, buckets=None, **labels):
-        return self.registry.histogram(name, buckets=buckets, **labels)
-
-    def span(self, name: str, pid: str = "lumina", tid: str = "main",
-             category: str = "", **args):
-        return self.tracer.span(name, pid, tid, category, **args)
-
-    def wall_span(self, name: str, pid: str = "lumina", tid: str = "main",
-                  category: str = "", **args):
-        return self.tracer.wall_span(name, pid, tid, category, **args)
-
-    def instant(self, name: str, pid: str = "lumina", tid: str = "main",
-                category: str = "", ts_ns=None, **args):
-        return self.tracer.instant(name, pid, tid, category, ts_ns, **args)
-
-    def export(self, out_dir: Optional[str] = None):
-        """Write trace.json / metrics.prom / events.jsonl; returns paths."""
-        from .export import export_run
-
-        target = out_dir or self.out_dir
-        if target is None:
-            raise ValueError("no output directory for telemetry export")
-        return export_run(self.registry, self.tracer, target)
-
-
-class _NullSession:
-    """Shared disabled-mode session; all factories return no-op twins."""
-
-    enabled = False
-    out_dir = None
-    registry = NULL_REGISTRY
-    tracer = NULL_TRACER
-
-    def counter(self, name: str, **labels):
-        return NULL_REGISTRY.counter(name)
-
-    def gauge(self, name: str, **labels):
-        return NULL_REGISTRY.gauge(name)
-
-    def histogram(self, name: str, buckets=None, **labels):
-        return NULL_REGISTRY.histogram(name)
-
-    def span(self, name: str, pid: str = "lumina", tid: str = "main",
-             category: str = "", **args):
-        return NULL_TRACER.span(name)
-
-    def wall_span(self, name: str, pid: str = "lumina", tid: str = "main",
-                  category: str = "", **args):
-        return NULL_TRACER.wall_span(name)
-
-    def instant(self, name: str, pid: str = "lumina", tid: str = "main",
-                category: str = "", ts_ns=None, **args):
-        return None
-
-    def export(self, out_dir: Optional[str] = None):
-        raise RuntimeError("telemetry is disabled; nothing to export")
-
-
-NULL_SESSION = _NullSession()
-
-_current: object = NULL_SESSION
-
-
-def enable(out_dir: Optional[str] = None) -> TelemetrySession:
-    """Activate a fresh telemetry session (replacing any existing one)."""
-    global _current
-    new_session = TelemetrySession(out_dir=out_dir)
-    # repro-lint: ignore[RACE001] — session lifecycle singleton: workers
-    # enable/disable their own session and results travel via snapshots.
-    _current = new_session  # repro-lint: ignore[RACE001]
-    return new_session
+def enable() -> sessions.Session:
+    """Switch metrics on with a fresh registry and tracer."""
+    return sessions.current().set_metrics(True)
 
 
 def disable() -> None:
-    """Deactivate telemetry; components fall back to no-op twins."""
-    global _current
-    _current = NULL_SESSION  # repro-lint: ignore[RACE001] — lifecycle
+    """Switch metrics off; components fall back to null handles."""
+    sessions.current().set_metrics(False)
 
 
-def current():
-    """The active session, or the no-op :data:`NULL_SESSION`. Never None."""
-    return _current
+def current() -> sessions.Session:
+    """The session, metrics on or off. Never None."""
+    return sessions.current()
 
 
-def active() -> Optional[TelemetrySession]:
-    """The active session, or ``None`` when telemetry is disabled."""
-    return _current if _current.enabled else None
-
-
-class session:
-    """Context manager: ``with telemetry.session(dir) as tel: ...``."""
-
-    def __init__(self, out_dir: Optional[str] = None,
-                 export_on_exit: bool = False):
-        self._out_dir = out_dir
-        self._export = export_on_exit
-        self.session: Optional[TelemetrySession] = None
-
-    def __enter__(self) -> TelemetrySession:
-        self.session = enable(self._out_dir)
-        return self.session
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if self._export and exc_type is None and self.session is not None \
-                    and self._out_dir is not None:
-                self.session.export()
-        finally:
-            disable()
+def active() -> Optional[sessions.Session]:
+    """The session while metrics are on, else ``None``."""
+    session = sessions.current()
+    return session if session.metrics_on else None

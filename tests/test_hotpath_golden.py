@@ -7,8 +7,8 @@ vectors below were recorded with the *pre-refactor* implementation
 CRC) and pin down ``pack_headers()`` output and iCRC values for every
 header combination the testbed emits — including the switch's mirror
 metadata rewrite. A second suite proves the zlib CRC backend and the
-retained pure-Python table fold agree bit-for-bit on randomized
-buffers, lengths, and chained folds.
+pure-Python table fold in ``crc_oracle.py`` agree bit-for-bit on
+randomized buffers, lengths, and chained folds.
 """
 
 import pickle
@@ -16,13 +16,7 @@ import random
 
 import pytest
 
-from repro.net.checksum import (
-    crc32_ib,
-    crc32_ib_py,
-    icrc_for,
-    icrc_for_py,
-    icrc_many,
-)
+from repro.net.checksum import crc32_ib, icrc_for, icrc_many
 from repro.net.headers import (
     AckExtendedHeader,
     BaseTransportHeader,
@@ -33,6 +27,8 @@ from repro.net.headers import (
     UdpHeader,
 )
 from repro.net.packet import EventType, Packet
+
+from crc_oracle import crc32_ib_py, icrc_for_py
 
 # ----------------------------------------------------------------------
 # Golden vectors recorded with the pre-refactor implementation

@@ -352,6 +352,33 @@ def test_race001_merge_at_declared_point_not_flagged():
     assert findings == []
 
 
+def test_race001_merge_through_sessions_accessor_flagged():
+    findings = analyze({
+        "repro/core/extra.py": """
+            from .. import sessions
+
+            def sneaky_fold(snapshots):
+                for snap in snapshots:
+                    sessions.current().merge_snapshot(snap)
+        """,
+    }, select={"RACE001"})
+    assert codes(findings) == ["RACE001"]
+
+
+def test_race001_session_merge_implementation_not_flagged():
+    # repro.sessions implements the scope-stack folds the declared
+    # merge points call, like the coverage and telemetry packages.
+    findings = analyze({
+        "repro/sessions.py": """
+            class Session:
+                def total_snapshot(self, total):
+                    for scope in self._stack:
+                        total.merge_map(scope)
+        """,
+    }, select={"RACE001"})
+    assert findings == []
+
+
 # ----------------------------------------------------------------------
 # UNIT001 — unit consistency
 # ----------------------------------------------------------------------

@@ -477,6 +477,20 @@ def test_tel001_positive_coverage_recorder_in_while():
     assert codes(findings) == ["TEL001"]
 
 
+def test_tel001_positive_sessions_accessor_in_loop():
+    # repro.sessions hands out the same session the facet runtimes do.
+    findings = lint("""
+        from .. import sessions
+
+        def f(servers):
+            obs = sessions.current()
+            for s in servers:
+                obs.gauge("records", server=s.name).set(1)
+                sessions.current().counter("seen").inc()
+    """)
+    assert codes(findings) == ["TEL001", "TEL001"]
+
+
 def test_tel001_negative_coverage_handle_bound_outside_loop():
     assert lint("""
         from ..coverage import runtime as coverage

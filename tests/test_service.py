@@ -483,8 +483,10 @@ class TestServiceCLI:
         ["suite", "cx5", "--checks", "gbn-logic",
          "--measurement-faults", "mirror-loss", "--coverage", "{cov}"],
         ["fuzz", "--target", "general", "-n", "8", "--coverage-fitness"],
+        ["fuzz", "--target", "general", "-n", "8", "--coverage-fitness",
+         "--telemetry", "{tel}"],
     ], ids=["run-coverage-telemetry", "suite-flight-dump",
-            "fuzz-coverage-fitness"])
+            "fuzz-coverage-fitness", "fuzz-fitness-telemetry"])
     def test_local_and_service_outputs_match(self, daemon, tmp_path,
                                              capsys, argv):
         from repro.__main__ import main
@@ -520,10 +522,17 @@ class TestServiceCLI:
                     == [p.read_bytes() for p in remote_dumps])
             if argv[0] == "suite":
                 assert local_dumps  # mirror loss leaves a flight dump
+        else:
+            # Guided fuzz without --coverage runs an in-memory coverage
+            # facet: nothing is exported.
+            assert not (local / "cov").exists()
+            assert not (job_dir / "coverage").exists()
         if "--telemetry" in argv:
+            expected = ("coverage_points_hit" if "--coverage" in argv
+                        else "fuzz_iterations")
             for metrics in (local / "tel" / "metrics.prom",
                             job_dir / "telemetry" / "metrics.prom"):
-                assert "coverage_points_hit" in metrics.read_text()
+                assert expected in metrics.read_text()
 
     def test_server_rejects_campaign_flag(self, daemon, capsys):
         from repro.__main__ import main

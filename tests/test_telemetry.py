@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.sessions import session_scope
 from repro.sim.engine import Simulator
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.export import (
@@ -18,8 +19,9 @@ from repro.telemetry.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
+    NULL_REGISTRY,
 )
-from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import NULL_TRACER, Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +85,9 @@ class TestMetrics:
 class TestRuntime:
     def test_disabled_by_default(self):
         assert telemetry.active() is None
-        assert telemetry.current() is telemetry.NULL_SESSION
+        session = telemetry.current()
+        assert session.registry is NULL_REGISTRY
+        assert session.tracer is NULL_TRACER
 
     def test_enable_disable_cycle(self):
         session = telemetry.enable()
@@ -103,7 +107,7 @@ class TestRuntime:
         assert tel.instant("e") is None
 
     def test_context_manager_scopes_session(self, tmp_path):
-        with telemetry.session(str(tmp_path), export_on_exit=True) as tel:
+        with session_scope(telemetry=str(tmp_path)) as tel:
             tel.counter("inside").inc()
             assert telemetry.active() is tel
         assert telemetry.active() is None

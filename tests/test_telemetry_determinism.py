@@ -1,6 +1,6 @@
 """Telemetry must never change simulation results.
 
-The subsystem's core guarantee (see ``repro/telemetry/runtime``): it
+The subsystem's core guarantee (see ``repro/sessions``): it
 observes the simulation but never feeds anything back — no events
 scheduled, no draws from the seeded PRNG, no component state mutated.
 These tests run identical workloads with telemetry enabled and disabled
@@ -79,9 +79,10 @@ def test_enabled_run_actually_collects():
     session = telemetry.enable()
     try:
         run_test(_config())
+        # Read while enabled: disabling resets the session's metrics.
+        assert len(session.registry) > 10
+        assert len(session.tracer.spans) >= 4  # setup/traffic/drain/collect
+        processed = session.registry.find("sim_events_processed", sim="sim")
+        assert processed is not None and processed.value > 0
     finally:
         telemetry.disable()
-    assert len(session.registry) > 10
-    assert len(session.tracer.spans) >= 4  # setup/traffic/drain/collect
-    processed = session.registry.find("sim_events_processed", sim="sim")
-    assert processed is not None and processed.value > 0
