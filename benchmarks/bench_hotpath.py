@@ -2,8 +2,10 @@
 
 Measures the three layers every simulated packet pays for — header
 serialization (+iCRC), raw CRC folding, and engine event dispatch —
-plus one end-to-end ``run_test`` on the parallel-scaling workload, and
-writes a canonical ``BENCH_hotpath.json``.
+the measurement plane's capture path (mirror → dumper record → TERM →
+trace reconstruction → every header read), plus one end-to-end
+``run_test`` on the parallel-scaling workload, and writes a canonical
+``BENCH_hotpath.json``.
 
 Run as a script (no pytest needed):
 
@@ -16,7 +18,10 @@ committed ``benchmarks/BENCH_hotpath.json`` and exits 1 on a >25%
 regression — the CI ``perf`` job runs exactly this. The committed file
 also records the pre-refactor (PR 6) numbers measured with the
 interpreted ``struct.pack``/dict-``Packet``/pure-Python-CRC hot path,
-so the speedup trajectory stays auditable.
+so the speedup trajectory stays auditable, and ``capture_before_frames``
+holds the capture section run on the clone-and-reparse capture path
+that capture frames replaced, measured on the same host as the
+committed ``capture`` number.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
 from repro import quick_config  # noqa: E402
 from repro.api import run_test  # noqa: E402
+from repro.core.trace import reconstruct_trace  # noqa: E402
+from repro.dumper.server import DumperServer  # noqa: E402
 from repro.net.checksum import crc32_ib, icrc_for  # noqa: E402
 from repro.net.headers import (  # noqa: E402
     AckExtendedHeader,
@@ -45,8 +52,11 @@ from repro.net.headers import (  # noqa: E402
     RdmaExtendedHeader,
     UdpHeader,
 )
-from repro.net.packet import Packet  # noqa: E402
+from repro.net.link import Node, connect, gbps  # noqa: E402
+from repro.net.packet import EventType, Packet  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim.rng import SimRandom  # noqa: E402
+from repro.switch.mirror import MirrorBlock  # noqa: E402
 
 #: Allowed slowdown vs the committed baseline before --check fails.
 TOLERANCE = 0.25
@@ -150,7 +160,85 @@ def bench_engine(n_events: int = 200_000, repeats: int = 3) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Section 4: end to end — the bench_parallel_scaling workload
+# Section 4: capture path — mirror, dumper record, TERM, trace, headers
+# ----------------------------------------------------------------------
+#: Event codes stamped into the mirrored train, cycled per packet.
+_CAPTURE_EVENTS = (EventType.NONE,) * 13 + (EventType.DROP, EventType.ECN,
+                                             EventType.CORRUPT)
+
+
+def _capture_train(n: int) -> list:
+    """A fixed train: per QP, a write message plus its ACK, read and CNP."""
+    packets = []
+    for i in range(n):
+        shape = i % 8
+        opcode = (Opcode.RDMA_WRITE_FIRST, Opcode.RDMA_WRITE_MIDDLE,
+                  Opcode.RDMA_WRITE_MIDDLE, Opcode.RDMA_WRITE_LAST,
+                  Opcode.ACKNOWLEDGE, Opcode.RDMA_READ_REQUEST,
+                  Opcode.RDMA_READ_RESPONSE_ONLY, Opcode.CNP)[shape]
+        payload = (PACK_PAYLOAD_LEN if shape in (0, 1, 2, 3, 6)
+                   else 16 if shape == 7 else 0)
+        packet = Packet(
+            ip=Ipv4Header(src_ip=0x0A000001 + (shape in (4, 6)),
+                          dst_ip=0x0A000002 - (shape in (4, 6))),
+            udp=UdpHeader(src_port=0xC000 + (i >> 3) % 4),
+            bth=BaseTransportHeader(opcode=opcode, dest_qp=0x100 + (i >> 3) % 4,
+                                    psn=i & 0xFFFFFF, ack_request=shape == 3),
+            reth=RdmaExtendedHeader(virtual_address=0x7F00_0000_0000 + i,
+                                    rkey=0x1EE7, dma_length=4 * PACK_PAYLOAD_LEN)
+            if shape in (0, 5) else None,
+            aeth=AckExtendedHeader.ack(msn=i & 0xFFFFFF)
+            if shape in (4, 6) else None,
+            payload_len=payload,
+        )
+        packet.ip.total_length = packet.size - 14
+        packet.udp.length = packet.ip.total_length - 20
+        packets.append(packet)
+    return packets
+
+
+def _capture_once(packets: list) -> int:
+    """Mirror ``packets`` into one dumper, TERM, rebuild, read all headers."""
+    sim = Simulator()
+    switch = Node(sim, "sw")
+    dumper = DumperServer(sim, "d0", gbps(100), ring_slots=len(packets))
+    mirror = MirrorBlock(SimRandom(1))
+    out = switch.add_port(gbps(100))
+    connect(out, dumper.port, 0)
+    mirror.add_target(out)
+    events = _CAPTURE_EVENTS
+    for i, packet in enumerate(packets):
+        mirror.mirror(packet, i * 100, events[i % len(events)])
+    sim.run()
+    trace = reconstruct_trace(dumper.terminate(),
+                              expected_packets=mirror.mirrored_packets)
+    fields = 0
+    for pkt in trace:
+        record = pkt.record
+        fields += (record.eth.src_mac + record.ip.src_ip + record.udp.dst_port
+                   + record.bth.psn)
+        if record.reth is not None:
+            fields += record.reth.dma_length
+        if record.aeth is not None:
+            fields += record.aeth.msn
+    if len(trace) != len(packets):
+        raise RuntimeError(f"capture lost packets: {len(trace)} of {len(packets)}")
+    return fields
+
+
+def bench_capture(n: int = 6_000, repeats: int = 5) -> dict:
+    packets = _capture_train(n)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        _capture_once(packets)
+        best = min(best, time.perf_counter() - start)
+    return {"packets_per_sec": round(n / best, 1), "n": n,
+            "seconds": round(best, 4)}
+
+
+# ----------------------------------------------------------------------
+# Section 5: end to end — the bench_parallel_scaling workload
 # ----------------------------------------------------------------------
 def bench_e2e(repeats: int = 3) -> dict:
     config = quick_config(nic="e810", verb="write", num_msgs=10,
@@ -173,6 +261,7 @@ SECTIONS = {
     "pack_icrc": (bench_pack_icrc, "packets_per_sec", "pkt/s"),
     "crc32": (bench_crc32, "mb_per_sec", "MiB/s"),
     "engine": (bench_engine, "events_per_sec", "ev/s"),
+    "capture": (bench_capture, "packets_per_sec", "pkt/s"),
     "e2e": (bench_e2e, "packets_per_sec", "pkt/s"),
 }
 
@@ -190,8 +279,8 @@ def render(payload: dict, baseline: dict = None) -> str:
     for name, (_fn, metric, unit) in SECTIONS.items():
         value = payload["sections"][name][metric]
         row = f"{name:<12s} {value:>14,.1f}  {unit}"
-        if baseline:
-            ref = baseline["sections"][name][metric]
+        ref = (baseline or {}).get("sections", {}).get(name, {}).get(metric)
+        if ref:
             row += f"  {value / ref:>8.2f}x of {ref:,.1f}"
         lines.append(row)
     return "\n".join(lines)
@@ -227,6 +316,8 @@ def main(argv=None) -> int:
         baseline = json.loads(BASELINE_PATH.read_text())
 
     fresh = measure()
+    if baseline is not None and "capture_before_frames" in baseline:
+        fresh["capture_before_frames"] = baseline["capture_before_frames"]
     if baseline is not None and "pre_refactor" in baseline:
         fresh["pre_refactor"] = baseline["pre_refactor"]
         fresh["speedup_vs_pre_refactor"] = {

@@ -12,14 +12,22 @@ sequence number. Integrity requires all three paper conditions:
 A trace also re-derives the ITER number of every packet offline using
 the same Fig. 3 algorithm the data plane runs, which is what lets the
 analyzers tell retransmissions apart.
+
+Reconstruction reads only what it needs from each record's bytes —
+mirror sequence, connection and PSN, plus the metadata and opcode the
+trace accessors serve — and validates every record on the spot, so a
+malformed record fails here, not in a later analyzer. Header objects
+are decoded only when an analyzer or report first reads them
+(:class:`~repro.net.capture.ParsedRecord`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..dumper.records import DumpRecord, ParsedRecord, expected_icrcs, parse_record
+from ..dumper.records import DumpRecord, ParsedRecord, expected_icrcs
 from ..net.headers import Opcode
 from ..net.packet import EventType
 from ..switch.itertrack import IterTracker
@@ -33,6 +41,8 @@ class TracePacket:
 
     Slotted by hand: one instance per captured packet is built during
     trace reconstruction. Semantics match the dataclass it replaced.
+    The pass-through properties read the record's hot fields and never
+    force a header decode.
     """
 
     __slots__ = ("record", "iteration")
@@ -350,6 +360,9 @@ def format_trace(trace: PacketTrace, limit: Optional[int] = None,
     return "\n".join(lines)
 
 
+_MIRROR_SEQ = attrgetter("mirror_seq")
+
+
 def reconstruct_trace(records: Iterable[DumpRecord],
                       expected_packets: Optional[int] = None) -> PacketTrace:
     """Sort dumped records by mirror sequence and re-derive ITERs.
@@ -357,17 +370,17 @@ def reconstruct_trace(records: Iterable[DumpRecord],
     ``expected_packets`` is the switch's mirrored-packet count; passing
     it lets the trace annotate *tail* losses (mirror seqs beyond the
     last captured packet) as gaps, which the trace alone cannot see.
+    Raises ValueError on the first record that is not RoCEv2.
     """
-    parsed = sorted((parse_record(r) for r in records), key=lambda p: p.mirror_seq)
+    parsed = sorted([ParsedRecord(r.raw, r.rx_time_ns, r.server, r.core)
+                     for r in records], key=_MIRROR_SEQ)
     tracker = IterTracker(max_connections=1_000_000)
     packets = []
     append = packets.append
     update = tracker.update
     for record in parsed:
-        ip = record.ip
-        bth = record.bth
-        append(TracePacket(record,
-                           update(ip.src_ip, ip.dst_ip, bth.dest_qp, bth.psn)))
+        src_ip, dst_ip, dest_qp = record.conn_key
+        append(TracePacket(record, update(src_ip, dst_ip, dest_qp, record.psn)))
     return PacketTrace(packets=packets, expected_packets=expected_packets)
 
 

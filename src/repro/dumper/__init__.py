@@ -5,7 +5,6 @@ from .records import (
     TRIM_BYTES,
     DumpRecord,
     ParsedRecord,
-    make_record,
     parse_record,
 )
 from .server import DumperServer
@@ -15,7 +14,6 @@ __all__ = [
     "TRIM_BYTES",
     "DumpRecord",
     "ParsedRecord",
-    "make_record",
     "parse_record",
     "DumperServer",
 ]

@@ -1,9 +1,12 @@
 """A traffic-dumper server: DPDK-style RX with RSS across CPU cores.
 
-Each server receives mirrored packets on one NIC port, spreads them
-across cores with Receive Side Scaling (a hash over the 5-tuple) and
-buffers trimmed records in memory, writing them out when the
-orchestrator sends TERM (§3.4).
+Each server receives the switch's capture frames
+(:class:`~repro.net.capture.CaptureFrame`) on one NIC port, spreads
+them across cores with Receive Side Scaling (a hash over the frame's
+5-tuple fields) and buffers the frames' already-trimmed bytes as
+records in memory, writing them out when the orchestrator sends TERM
+(§3.4). No header is packed or parsed here: the frame arrives as the
+first 128 wire bytes and is stored as it is.
 
 The performance model is the one that motivated Lumina's per-packet
 load balancing: a core processes one packet per fixed service time and
@@ -18,11 +21,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..net.capture import CaptureFrame
 from ..net.link import Node, Port
-from ..net.packet import Packet
 from ..sim.engine import Simulator
 from ..telemetry import runtime as telemetry
-from .records import DumpRecord, make_record
+from .records import DumpRecord
 
 __all__ = ["DumperServer"]
 
@@ -107,15 +110,10 @@ class DumperServer(Node):
         """Aggregate packets/second the server can sustain when balanced."""
         return len(self.cores) * (1_000_000_000 // self.cores[0].service_ns)
 
-    def handle_packet(self, port: Port, packet: Packet) -> None:
-        udp = packet.udp
-        ip = packet.ip
-        if self._terminated or udp is None or ip is None:
+    def handle_packet(self, port: Port, frame: CaptureFrame) -> None:
+        if self._terminated:
             return
-        core = self.cores[
-            _rss_hash(ip.src_ip, ip.dst_ip,
-                      udp.src_port, udp.dst_port) % len(self.cores)
-        ]
+        core = self.cores[_rss_hash(*frame.rss) % len(self.cores)]
         if core.backlog >= core.ring_slots:
             core.dropped += 1
             self.rx_discards += 1
@@ -129,17 +127,17 @@ class DumperServer(Node):
         if free_at > start:
             start = free_at
         core.free_at = start = start + core.service_ns
-        sim.schedule_at(start, self._process, core, packet)
+        sim.schedule_at(start, self._process, core, frame)
 
-    def _process(self, core: _Core, packet: Packet) -> None:
+    def _process(self, core: _Core, frame: CaptureFrame) -> None:
         if self._terminated:
             # The ring's contents were already accounted as term_dropped.
             return
         core.backlog -= 1
         core.processed += 1
         self._m_ring[core.index].set(core.backlog)
-        # Copy only the first 128 bytes into pre-allocated memory (§5).
-        self._records.append(make_record(packet, self.sim.now, self.name, core.index))
+        # The frame already holds only the first 128 bytes (§5).
+        self._records.append(DumpRecord(frame.raw, self.sim.now, self.name, core.index))
         self._m_records.inc()
 
     # ------------------------------------------------------------------

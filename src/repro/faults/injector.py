@@ -1,13 +1,13 @@
 """Runtime fault injector for the mirror → dumper path.
 
 The injector sits between :class:`repro.switch.mirror.MirrorBlock` and
-the dumper-facing switch ports. For every mirror clone it decides —
-deterministically, from seeded state — whether the clone is dropped,
+the dumper-facing switch ports. For every mirrored frame it decides —
+deterministically, from seeded state — whether the frame is dropped,
 delayed, or passed through untouched. Mirror sequence numbers are
 assigned *before* the injector runs, exactly as on real hardware where
-the switch stamps the clone and the network loses it afterwards; a
-dropped clone therefore leaves a hole in the mirror-seq space that
-``check_integrity`` must flag.
+the switch stamps the mirrored copy and the network loses it
+afterwards; a dropped frame therefore leaves a hole in the mirror-seq
+space that ``check_integrity`` must flag.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..core.config import MeasurementFaultConfig
 from ..net.link import Port
-from ..net.packet import Packet
+from ..net.capture import CaptureFrame
 from ..sim.engine import Simulator
 from ..sim.rng import SimRandom
 from ..telemetry import runtime as telemetry
@@ -25,17 +25,17 @@ __all__ = ["MeasurementFaultInjector"]
 
 
 class MeasurementFaultInjector:
-    """Deterministic loss/delay on mirrored clones."""
+    """Deterministic loss/delay on mirrored frames."""
 
     def __init__(self, sim: Simulator, config: MeasurementFaultConfig,
                  rng: SimRandom):
         self.sim = sim
         self.config = config
         self._rng = rng
-        self.mirror_index = 0     # clones seen, pre-decision
+        self.mirror_index = 0     # frames seen, pre-decision
         self.dropped = 0
         self.delayed = 0
-        #: Delayed clones scheduled but not yet re-sent; the adaptive
+        #: Delayed frames scheduled but not yet re-sent; the adaptive
         #: drain must not declare quiescence while any are in flight.
         self.pending_delayed = 0
         self._burst_left = 0
@@ -43,10 +43,10 @@ class MeasurementFaultInjector:
         self._m_dropped = tel.counter("fault_mirror_dropped")
         self._m_delayed = tel.counter("fault_mirror_delayed")
 
-    def on_mirror(self, port: Port, clone: Packet) -> bool:
-        """Intercept one mirror clone bound for ``port``.
+    def on_mirror(self, port: Port, frame: CaptureFrame) -> bool:
+        """Intercept one mirrored frame bound for ``port``.
 
-        Returns True when the injector consumed the clone (dropped it or
+        Returns True when the injector consumed the frame (dropped it or
         took ownership for delayed delivery); False means the caller
         should transmit normally.
         """
@@ -71,7 +71,7 @@ class MeasurementFaultInjector:
             self.delayed += 1
             self.pending_delayed += 1
             self._m_delayed.inc()
-            self.sim.schedule(cfg.mirror_delay_ns, self._send_delayed, port, clone)
+            self.sim.schedule(cfg.mirror_delay_ns, self._send_delayed, port, frame)
             return True
         return False
 
@@ -79,13 +79,13 @@ class MeasurementFaultInjector:
         self.dropped += 1
         self._m_dropped.inc()
 
-    def _send_delayed(self, port: Port, clone: Packet) -> None:
+    def _send_delayed(self, port: Port, frame: CaptureFrame) -> None:
         self.pending_delayed -= 1
-        port.send(clone)
+        port.send(frame)
 
     @property
     def quiescent(self) -> bool:
-        """True when no delayed clones are still held by the injector."""
+        """True when no delayed frames are still held by the injector."""
         return self.pending_delayed == 0
 
     def counters(self) -> dict:

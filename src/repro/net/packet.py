@@ -2,28 +2,19 @@
 
 A :class:`Packet` carries parsed header objects plus a *virtual* payload
 (only its length is tracked — Lumina never needs payload contents, which
-is exactly why the real tool trims dumps to 128 bytes). ``pack()``
-produces genuine wire bytes for the headers so dumper records and
-analyzers work on the same representation the real system uses.
-
-Mirror metadata (§3.4) is embedded by *rewriting header fields* of the
-mirrored copy, exactly as the paper does:
-
-==================  =========================  =======================
-Metadata            Field reused               Accessor
-==================  =========================  =======================
-event type          IPv4 TTL                   ``mirror_event_type``
-mirror sequence     Ethernet source MAC        ``mirror_seq``
-mirror timestamp    Ethernet destination MAC   ``mirror_timestamp_ns``
-==================  =========================  =======================
+is exactly why the real tool trims dumps to 128 bytes).
+``pack_headers()`` produces genuine wire bytes for the headers. The
+mirrored copy the dumpers store is not a ``Packet``: the switch packs a
+capture frame straight from the ingress headers, with the §3.4 metadata
+stamped into TTL and the MACs (:mod:`repro.net.capture`).
 
 ``Packet`` is a slotted class (not a dataclass): a run allocates one
-instance per simulated packet plus one per mirrored clone, and the
-dict-per-instance cost plus dataclass-generated method overhead was
-measurable in profiles. Semantics match the dataclass it replaced —
-field order, defaults, value-``__eq__`` over every real field including
-``packet_id`` (wire caches excluded), unhashable — and pickling for the
-spawn pool drops the caches so workers never ship stale wire bytes.
+instance per simulated packet, and the dict-per-instance cost plus
+dataclass-generated method overhead was measurable in profiles.
+Semantics match the dataclass it replaced — field order, defaults,
+value-``__eq__`` over every real field including ``packet_id`` (wire
+caches excluded), unhashable — and pickling for the spawn pool drops
+the caches so workers never ship stale wire bytes.
 """
 
 from __future__ import annotations
@@ -86,7 +77,7 @@ class Packet:
 
     __slots__ = (
         "eth", "ip", "udp", "bth", "reth", "aeth", "payload_len",
-        "icrc_ok", "packet_id", "is_mirror",
+        "icrc_ok", "packet_id",
         # Wire-format caches. Headers are immutable between explicit
         # switch rewrites, so serialisation results are reused until a
         # mutation path calls invalidate_wire_cache(). Excluded from
@@ -105,8 +96,7 @@ class Packet:
                  aeth: Optional[AckExtendedHeader] = None,
                  payload_len: int = 0,
                  icrc_ok: bool = True,
-                 packet_id: Optional[int] = None,
-                 is_mirror: bool = False):
+                 packet_id: Optional[int] = None):
         self.eth = eth if eth is not None else EthernetHeader()
         self.ip = ip
         self.udp = udp
@@ -120,8 +110,6 @@ class Packet:
         self.icrc_ok = icrc_ok
         #: Unique id for tracing/debugging inside the simulation only.
         self.packet_id = packet_id if packet_id is not None else next(_packet_ids)
-        #: True on mirrored copies (set by the switch mirror block).
-        self.is_mirror = is_mirror
         self._packed_headers: Optional[bytes] = None
         self._icrc_clean: Optional[int] = None
         self._wire_size: Optional[int] = None
@@ -140,18 +128,16 @@ class Packet:
                 and self.aeth == other.aeth
                 and self.payload_len == other.payload_len
                 and self.icrc_ok == other.icrc_ok
-                and self.packet_id == other.packet_id
-                and self.is_mirror == other.is_mirror)
+                and self.packet_id == other.packet_id)
 
     def __getstate__(self) -> tuple:
         # Caches are process-local; rebuild lazily after unpickling.
         return (self.eth, self.ip, self.udp, self.bth, self.reth, self.aeth,
-                self.payload_len, self.icrc_ok, self.packet_id, self.is_mirror)
+                self.payload_len, self.icrc_ok, self.packet_id)
 
     def __setstate__(self, state: tuple) -> None:
         (self.eth, self.ip, self.udp, self.bth, self.reth, self.aeth,
-         self.payload_len, self.icrc_ok, self.packet_id,
-         self.is_mirror) = state
+         self.payload_len, self.icrc_ok, self.packet_id) = state
         self._packed_headers = None
         self._icrc_clean = None
         self._wire_size = None
@@ -213,8 +199,8 @@ class Packet:
         """Drop cached wire bytes after a header field mutation.
 
         Every path that rewrites headers in place (the event injector's
-        ECN mark, rewrite rules, the mirror block's metadata stamping)
-        must call this; construction and :meth:`copy` start clean.
+        ECN mark, rewrite rules) must call this; construction starts
+        clean.
         ``icrc_ok`` flips need no invalidation — the corruption xor is
         applied per call on top of the cached clean CRC.
         """
@@ -265,54 +251,6 @@ class Packet:
         if not self.icrc_ok:
             value ^= 0xDEADBEEF  # any bit flip invalidates the CRC
         return value
-
-    def copy(self) -> "Packet":
-        """Deep copy with a fresh packet id (used by the mirror block).
-
-        Built via ``__new__`` + direct slot stores: the mirror block
-        clones every RoCE packet, and skipping ``__init__``'s keyword
-        processing is a measurable win on that path.
-        """
-        clone = Packet.__new__(Packet)
-        clone.eth = self.eth.copy()
-        ip = self.ip
-        clone.ip = ip.copy() if ip is not None else None
-        udp = self.udp
-        clone.udp = udp.copy() if udp is not None else None
-        bth = self.bth
-        clone.bth = bth.copy() if bth is not None else None
-        reth = self.reth
-        clone.reth = reth.copy() if reth is not None else None
-        aeth = self.aeth
-        clone.aeth = aeth.copy() if aeth is not None else None
-        clone.payload_len = self.payload_len
-        clone.icrc_ok = self.icrc_ok
-        clone.packet_id = next(_packet_ids)
-        clone.is_mirror = self.is_mirror
-        clone._packed_headers = None
-        clone._icrc_clean = None
-        clone._wire_size = self._wire_size
-        return clone
-
-    # ------------------------------------------------------------------
-    # Mirror metadata accessors (decode the rewritten header fields)
-    # ------------------------------------------------------------------
-    @property
-    def mirror_event_type(self) -> int:
-        """Injected-event code stored in the TTL field of a mirrored copy."""
-        if self.ip is None:
-            raise ValueError("mirror metadata requires an IP header")
-        return self.ip.ttl
-
-    @property
-    def mirror_seq(self) -> int:
-        """Global mirror sequence number stored in the source MAC."""
-        return self.eth.src_mac
-
-    @property
-    def mirror_timestamp_ns(self) -> int:
-        """Switch ingress timestamp (ns) stored in the destination MAC."""
-        return self.eth.dst_mac
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.bth is None:

@@ -3,13 +3,13 @@
 Everything the store replays — full :class:`TestResult` objects, fuzz
 scores, suite check verdicts, fuzz reports — round-trips through plain
 JSON dicts such that ``decode(encode(x)) == x`` under dataclass
-equality. The trace is the subtle part: parsed records carry no raw
-bytes, but every byte of a trimmed dump record is reconstructible from
-its headers (payloads are zeroed on capture, §5), so records are
-stored as hex wire bytes and reloaded through the same
-:func:`~repro.core.trace.reconstruct_trace` path a live run uses —
-ITER derivation included, so a replayed trace is indistinguishable
-from a fresh one.
+equality. The trace is the subtle part: parsed records keep their
+trimmed bytes, but the encoder rebuilds those bytes from the decoded
+headers (every byte is reconstructible from them, since payloads are
+zeroed on capture, §5). Records are stored as hex wire bytes and
+reloaded through the same :func:`~repro.core.trace.reconstruct_trace`
+path a live run uses — ITER derivation included, so a replayed trace
+is indistinguishable from a fresh one.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def unwrap_document(data: Dict, kind: Optional[str] = None,
 def _record_raw(rec: ParsedRecord) -> bytes:
     """Rebuild a record's trimmed wire bytes from its parsed headers.
 
-    Mirrors :func:`repro.dumper.records.make_record`: headers packed
+    Mirrors :func:`repro.net.capture.capture_frame`: headers packed
     back to back, zero-padded to the trimmed wire length
     ``min(TRIM_BYTES, eth + ip.total_length)`` — payload bytes are
     zeroed at capture time, so nothing is lost.

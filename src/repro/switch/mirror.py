@@ -1,9 +1,9 @@
 """Ingress mirroring with metadata embedding and per-packet load balancing.
 
-Every RoCE packet is cloned at the ingress pipeline — *before* any drop
-takes effect — and the clone is sent to a traffic-dumper port. Three
-pieces of metadata are embedded by rewriting header fields the analysis
-does not otherwise need (§3.4):
+Every RoCE packet is mirrored at the ingress pipeline — *before* any
+drop, ECN mark or corruption takes effect — and the mirrored copy is
+sent to a traffic-dumper port. Three pieces of metadata are embedded by
+rewriting header fields the analysis does not otherwise need (§3.4):
 
 * IPv4 TTL            ← event type code
 * Ethernet source MAC ← global mirror sequence number (48-bit)
@@ -14,6 +14,10 @@ is rewritten to a pseudo-random value, creating the illusion of many
 flows for RSS; dumpers restore it when writing records to disk. Dumper
 ports are chosen by smooth weighted round-robin so a pool of unequal
 servers is loaded proportionally to capacity.
+
+The mirrored copy is a :class:`~repro.net.capture.CaptureFrame`: the
+packet's headers packed once, metadata stamped in, already trimmed to
+the 128 bytes the dumper keeps. No packet object is cloned.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from ..coverage import runtime as coverage
+from ..net.capture import CaptureFrame, capture_frame
 from ..net.link import Port
 from ..net.packet import Packet
 from ..sim.rng import SimRandom
@@ -40,8 +45,6 @@ class MirrorConfigError(RuntimeError):
     a silently mis-mirrored run would corrupt the very trace the
     integrity scheme is supposed to protect.
     """
-
-_MASK48 = 0xFFFFFFFFFFFF
 
 
 @dataclass
@@ -97,41 +100,36 @@ class MirrorBlock:
         best.current -= total
         return best
 
-    def mirror(self, packet: Packet, now_ns: int, event_code: int) -> Optional[Packet]:
-        """Clone, stamp and transmit the mirrored copy.
+    def mirror(self, packet: Packet, now_ns: int,
+               event_code: int) -> Optional[CaptureFrame]:
+        """Build, stamp and transmit the mirrored frame.
 
-        Returns the clone (for tests), or None when no dumper ports are
+        Returns the frame (for tests), or None when no dumper ports are
         configured (mirroring disabled).
         """
         if not self._targets:
             return None
-        clone = packet.copy()
-        clone.is_mirror = True
-        # A dropped or corrupted original must still be dumped intact.
-        clone.icrc_ok = True
-        clone.ip.ttl = event_code & 0xFF
-        eth = clone.eth
-        eth.src_mac = self.mirror_seq & _MASK48
-        eth.dst_mac = now_ns & _MASK48
-        if self.randomize_udp_port and clone.udp is not None:
-            clone.udp.dst_port = self._rng.ephemeral_port()
-        # No invalidate_wire_cache(): copy() starts with cold caches and
-        # nothing above can have warmed them.
+        if self.randomize_udp_port:
+            dst_port = self._rng.ephemeral_port()
+        else:
+            dst_port = packet.udp.dst_port
+        frame = capture_frame(packet, self.mirror_seq, now_ns, event_code,
+                              dst_port)
         self.mirror_seq += 1
         self.mirrored_packets += 1
         target = self._pick_target()
         target.packets += 1
         self._m_mirrored.inc()
         # The fault injector models loss/delay *after* the switch has
-        # stamped the clone — the seq is consumed either way, exactly
+        # stamped the frame — the seq is consumed either way, exactly
         # like a real mirror drop between switch and dumper.
-        if self._faults is not None and self._faults.on_mirror(target.port, clone):
+        if self._faults is not None and self._faults.on_mirror(target.port, frame):
             self._cov.hit("fault-intercepted", now_ns)
-            return clone
+            return frame
         self._cov.hit("mirrored", now_ns)
-        target.port.send(clone)
+        target.port.send(frame)
         self._m_queue.set(target.port.queued_bytes)
-        return clone
+        return frame
 
     def reset(self) -> None:
         self.mirror_seq = 0

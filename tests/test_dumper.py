@@ -5,11 +5,11 @@ import pytest
 from repro.dumper.records import (
     TRIM_BYTES,
     DumpRecord,
-    make_record,
     parse_record,
 )
 from repro.dumper.server import DumperServer
 from repro.net.addressing import ROCEV2_UDP_PORT
+from repro.net.capture import capture_frame
 from repro.net.headers import (
     AckExtendedHeader,
     BaseTransportHeader,
@@ -23,16 +23,15 @@ from repro.net.link import Node, connect, gbps
 from repro.net.packet import EventType, Packet
 
 
-def mirrored_packet(psn=5, opcode=Opcode.RDMA_WRITE_ONLY, payload=1024,
-                    mirror_seq=3, timestamp=777, event=EventType.NONE,
-                    udp_dst=12345):
+def mirrored_frame(psn=5, opcode=Opcode.RDMA_WRITE_ONLY, payload=1024,
+                   mirror_seq=3, timestamp=777, event=EventType.NONE,
+                   udp_dst=12345):
     packet = Packet(
-        eth=EthernetHeader(src_mac=mirror_seq, dst_mac=timestamp),
-        ip=Ipv4Header(src_ip=1, dst_ip=2, ttl=event),
-        udp=UdpHeader(src_port=0xC000, dst_port=udp_dst),
+        eth=EthernetHeader(),
+        ip=Ipv4Header(src_ip=1, dst_ip=2),
+        udp=UdpHeader(src_port=0xC000),
         bth=BaseTransportHeader(opcode=opcode, dest_qp=9, psn=psn),
         payload_len=payload,
-        is_mirror=True,
     )
     if opcode in (Opcode.RDMA_WRITE_ONLY, Opcode.RDMA_WRITE_FIRST,
                   Opcode.RDMA_READ_REQUEST):
@@ -44,22 +43,25 @@ def mirrored_packet(psn=5, opcode=Opcode.RDMA_WRITE_ONLY, payload=1024,
     # IP/UDP length fields must be consistent for payload recovery.
     packet.ip.total_length = packet.size - 14
     packet.udp.length = packet.ip.total_length - 20
-    return packet
+    return capture_frame(packet, mirror_seq, timestamp, event, udp_dst)
+
+
+def make_record(frame, rx_time_ns, server, core):
+    return DumpRecord(frame.raw, rx_time_ns, server, core)
 
 
 class TestRecords:
     def test_record_is_trimmed_to_128_bytes(self):
-        record = make_record(mirrored_packet(payload=1024), 10, "d0", 0)
+        record = make_record(mirrored_frame(payload=1024), 10, "d0", 0)
         assert len(record.raw) == TRIM_BYTES
 
     def test_small_packet_not_padded_beyond_wire_size(self):
-        packet = mirrored_packet(opcode=Opcode.ACKNOWLEDGE, payload=0)
-        record = make_record(packet, 10, "d0", 0)
-        assert len(record.raw) == packet.size
+        frame = mirrored_frame(opcode=Opcode.ACKNOWLEDGE, payload=0)
+        record = make_record(frame, 10, "d0", 0)
+        assert len(record.raw) == frame.size
 
     def test_parse_roundtrip_write(self):
-        packet = mirrored_packet()
-        parsed = parse_record(make_record(packet, 42, "d0", 3))
+        parsed = parse_record(make_record(mirrored_frame(), 42, "d0", 3))
         assert parsed.opcode == Opcode.RDMA_WRITE_ONLY
         assert parsed.psn == 5
         assert parsed.dest_qp == 9
@@ -70,27 +72,27 @@ class TestRecords:
         assert parsed.core == 3
 
     def test_parse_roundtrip_ack(self):
-        packet = mirrored_packet(opcode=Opcode.ACKNOWLEDGE, payload=0)
-        parsed = parse_record(make_record(packet, 1, "d0", 0))
+        frame = mirrored_frame(opcode=Opcode.ACKNOWLEDGE, payload=0)
+        parsed = parse_record(make_record(frame, 1, "d0", 0))
         assert parsed.aeth is not None
         assert parsed.aeth.is_ack
         assert parsed.payload_len == 0
 
     def test_parse_decodes_mirror_metadata(self):
-        packet = mirrored_packet(mirror_seq=17, timestamp=123456,
-                                 event=EventType.DROP)
-        parsed = parse_record(make_record(packet, 1, "d0", 0))
+        frame = mirrored_frame(mirror_seq=17, timestamp=123456,
+                               event=EventType.DROP)
+        parsed = parse_record(make_record(frame, 1, "d0", 0))
         assert parsed.mirror_seq == 17
         assert parsed.switch_timestamp_ns == 123456
         assert parsed.event_type == EventType.DROP
         assert parsed.event_name == "drop"
 
     def test_conn_key_direction(self):
-        parsed = parse_record(make_record(mirrored_packet(), 1, "d0", 0))
+        parsed = parse_record(make_record(mirrored_frame(), 1, "d0", 0))
         assert parsed.conn_key == (1, 2, 9)
 
     def test_restored_rewrites_udp_port(self):
-        record = make_record(mirrored_packet(udp_dst=55555), 1, "d0", 0)
+        record = make_record(mirrored_frame(udp_dst=55555), 1, "d0", 0)
         restored = record.restored()
         assert parse_record(restored).udp.dst_port == ROCEV2_UDP_PORT
         # Original record is unchanged (restore returns a copy).
@@ -120,14 +122,14 @@ class TestDumperServer:
     def test_packets_become_records(self, sim):
         server, out = wire_server(sim)
         for psn in range(5):
-            out.send(mirrored_packet(psn=psn, udp_dst=1000 + psn))
+            out.send(mirrored_frame(psn=psn, udp_dst=1000 + psn))
         sim.run()
         assert server.buffered_records == 5
 
     def test_rss_spreads_random_ports_across_cores(self, sim):
         server, out = wire_server(sim, num_cores=4)
         for i in range(64):
-            out.send(mirrored_packet(psn=i, udp_dst=5000 + i * 13))
+            out.send(mirrored_frame(psn=i, udp_dst=5000 + i * 13))
         sim.run()
         busy = [c for c in server.core_stats if c["processed"] > 0]
         assert len(busy) >= 3
@@ -135,7 +137,7 @@ class TestDumperServer:
     def test_single_flow_hits_single_core(self, sim):
         server, out = wire_server(sim, num_cores=4)
         for i in range(32):
-            out.send(mirrored_packet(psn=i, udp_dst=4791))
+            out.send(mirrored_frame(psn=i, udp_dst=4791))
         sim.run()
         busy = [c for c in server.core_stats if c["processed"] > 0]
         assert len(busy) == 1
@@ -145,14 +147,14 @@ class TestDumperServer:
         server, out = wire_server(sim, num_cores=2, ring_slots=4,
                                   core_service_ns=5_000)
         for i in range(64):
-            out.send(mirrored_packet(psn=i, udp_dst=4791))
+            out.send(mirrored_frame(psn=i, udp_dst=4791))
         sim.run()
         assert server.rx_discards > 0
         assert server.buffered_records < 64
 
     def test_terminate_restores_ports_and_writes_disk(self, sim):
         server, out = wire_server(sim)
-        out.send(mirrored_packet(udp_dst=9999))
+        out.send(mirrored_frame(udp_dst=9999))
         sim.run()
         records = server.terminate()
         assert len(records) == 1
@@ -166,7 +168,7 @@ class TestDumperServer:
         server, out = wire_server(sim, num_cores=2, ring_slots=64,
                                   core_service_ns=50_000)
         for i in range(32):
-            out.send(mirrored_packet(psn=i, udp_dst=4791))
+            out.send(mirrored_frame(psn=i, udp_dst=4791))
         sim.run_for(100_000)  # deliver the burst, barely service any
         backlog = sum(core.backlog for core in server.cores)
         assert backlog > 0
@@ -179,7 +181,7 @@ class TestDumperServer:
 
     def test_terminate_with_empty_rings_drops_nothing(self, sim):
         server, out = wire_server(sim)
-        out.send(mirrored_packet(udp_dst=4791))
+        out.send(mirrored_frame(udp_dst=4791))
         sim.run()
         server.terminate()
         assert server.term_dropped == 0
@@ -188,7 +190,7 @@ class TestDumperServer:
     def test_packets_after_terminate_ignored(self, sim):
         server, out = wire_server(sim)
         server.terminate()
-        out.send(mirrored_packet())
+        out.send(mirrored_frame())
         sim.run()
         assert server.buffered_records == 0
 

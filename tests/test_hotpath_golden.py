@@ -125,10 +125,9 @@ def build(name):
         )
         if name == "mirror_rewrite":
             # The switch's §3.4 metadata embedding: warm the wire cache
-            # first, then rewrite + invalidate, like the mirror block.
+            # first, then rewrite + invalidate.
             packet.pack_headers()
             packet.icrc()
-            packet.is_mirror = True
             packet.ip.ttl = EventType.DROP
             packet.eth.src_mac = 123456
             packet.eth.dst_mac = 987654321

@@ -43,13 +43,6 @@ class TestPackHeadersCache:
         assert after != before
         assert after == make_packet_with_ecn().pack_headers()
 
-    def test_copy_does_not_inherit_cache(self):
-        packet = make_packet()
-        packet.pack_headers()  # warm the original's cache
-        clone = packet.copy()
-        clone.ip.ttl = 42  # mirror-style stamping, no invalidate needed
-        assert clone.pack_headers() != packet.pack_headers()
-
     def test_rewrite_rule_invalidates(self):
         packet = make_packet()
         before = packet.pack_headers()

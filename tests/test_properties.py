@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import DataPacketEvent, TrafficConfig
 from repro.core.fuzz.mutate import mutate
 from repro.core.trace import reconstruct_trace
-from repro.dumper.records import make_record, parse_record
+from repro.dumper.records import DumpRecord, parse_record
+from repro.net.capture import capture_frame
 from repro.net.addressing import int_to_ip, int_to_mac, ip_to_int, mac_to_int
 from repro.net.headers import (
     AckExtendedHeader,
@@ -175,8 +176,7 @@ class TestRecordRoundtrip:
     @settings(max_examples=50)
     def test_parse_inverts_make(self, psn, qpn, seq, stamp, payload, event):
         packet = Packet(
-            eth=EthernetHeader(src_mac=seq, dst_mac=stamp),
-            ip=Ipv4Header(src_ip=1, dst_ip=2, ttl=event),
+            ip=Ipv4Header(src_ip=1, dst_ip=2),
             udp=UdpHeader(src_port=100, dst_port=4791),
             bth=BaseTransportHeader(opcode=Opcode.SEND_ONLY, dest_qp=qpn,
                                     psn=psn),
@@ -184,7 +184,8 @@ class TestRecordRoundtrip:
         )
         packet.ip.total_length = packet.size - 14
         packet.udp.length = packet.ip.total_length - 20
-        parsed = parse_record(make_record(packet, 5, "d", 0))
+        frame = capture_frame(packet, seq, stamp, event, 4791)
+        parsed = parse_record(DumpRecord(frame.raw, 5, "d", 0))
         assert parsed.psn == psn
         assert parsed.dest_qp == qpn
         assert parsed.mirror_seq == seq
@@ -201,8 +202,7 @@ class TestTraceReconstruction:
         # matter how records are scattered across dumpers.
         def record(seq):
             packet = Packet(
-                eth=EthernetHeader(src_mac=seq, dst_mac=seq * 10),
-                ip=Ipv4Header(src_ip=1, dst_ip=2, ttl=0),
+                ip=Ipv4Header(src_ip=1, dst_ip=2),
                 udp=UdpHeader(dst_port=4791),
                 bth=BaseTransportHeader(opcode=Opcode.SEND_ONLY, dest_qp=3,
                                         psn=100 + seq),
@@ -210,7 +210,8 @@ class TestTraceReconstruction:
             )
             packet.ip.total_length = packet.size - 14
             packet.udp.length = packet.ip.total_length - 20
-            return make_record(packet, seq, "d", 0)
+            frame = capture_frame(packet, seq, seq * 10, 0, 4791)
+            return DumpRecord(frame.raw, seq, "d", 0)
 
         shuffled = [record(i) for i in order]
         trace = reconstruct_trace(shuffled)

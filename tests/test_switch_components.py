@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.capture import CaptureFrame, ParsedRecord, capture_frame
 from repro.net.headers import BaseTransportHeader, Ipv4Header, Opcode, UdpHeader
 from repro.net.link import Node, connect, gbps
 from repro.net.packet import EventType, Packet
@@ -191,6 +192,11 @@ def _roce(src_port=0xC000):
                   payload_len=64)
 
 
+def decode(frame):
+    """The record a dumper would store for ``frame``, read back."""
+    return ParsedRecord(frame.raw, 0, "d", 0)
+
+
 class TestMirrorBlock:
     def _block_with_targets(self, sim, n=2, weights=None):
         block = MirrorBlock(SimRandom(1))
@@ -210,16 +216,17 @@ class TestMirrorBlock:
 
     def test_metadata_embedded(self, sim):
         block, _ = self._block_with_targets(sim, 1)
-        clone = block.mirror(_roce(), now_ns=777, event_code=EventType.DROP)
-        assert clone.is_mirror
-        assert clone.ip.ttl == EventType.DROP
-        assert clone.eth.src_mac == 0      # first mirror sequence number
-        assert clone.eth.dst_mac == 777    # timestamp
+        frame = block.mirror(_roce(), now_ns=777, event_code=EventType.DROP)
+        assert isinstance(frame, CaptureFrame)
+        record = decode(frame)
+        assert record.ip.ttl == EventType.DROP
+        assert record.eth.src_mac == 0      # first mirror sequence number
+        assert record.eth.dst_mac == 777    # timestamp
 
     def test_sequence_increments(self, sim):
         block, _ = self._block_with_targets(sim, 1)
-        clones = [block.mirror(_roce(), i, EventType.NONE) for i in range(5)]
-        assert [c.eth.src_mac for c in clones] == [0, 1, 2, 3, 4]
+        frames = [block.mirror(_roce(), i, EventType.NONE) for i in range(5)]
+        assert [decode(f).eth.src_mac for f in frames] == [0, 1, 2, 3, 4]
         assert block.mirrored_packets == 5
 
     def test_original_packet_untouched(self, sim):
@@ -228,11 +235,12 @@ class TestMirrorBlock:
         original_ttl = packet.ip.ttl
         block.mirror(packet, 1, EventType.ECN)
         assert packet.ip.ttl == original_ttl
-        assert not packet.is_mirror
+        assert packet.udp.dst_port == 4791
+        assert packet.eth.src_mac == 0 and packet.eth.dst_mac == 0
 
     def test_udp_port_randomised_for_rss(self, sim):
         block, _ = self._block_with_targets(sim, 1)
-        ports = {block.mirror(_roce(), i, EventType.NONE).udp.dst_port
+        ports = {decode(block.mirror(_roce(), i, EventType.NONE)).udp.dst_port
                  for i in range(50)}
         assert len(ports) > 10
         assert all(p != 4791 for p in ports)
@@ -244,16 +252,18 @@ class TestMirrorBlock:
         sink = _PortSink(sim, "d")
         connect(out, sink.add_port(gbps(100)), 0)
         block.add_target(out)
-        clone = block.mirror(_roce(), 1, EventType.NONE)
-        assert clone.udp.dst_port == 4791
+        frame = block.mirror(_roce(), 1, EventType.NONE)
+        assert decode(frame).udp.dst_port == 4791
 
     def test_corrupted_original_mirrored_intact(self, sim):
         # §3.4: the mirror is taken at ingress before the event acts.
         block, _ = self._block_with_targets(sim, 1)
         packet = _roce()
         packet.icrc_ok = False  # pretend corruption already flagged
-        clone = block.mirror(packet, 1, EventType.CORRUPT)
-        assert clone.icrc_ok
+        frame = block.mirror(packet, 1, EventType.CORRUPT)
+        intact = capture_frame(_roce(), 0, 1, EventType.CORRUPT,
+                               decode(frame).udp.dst_port)
+        assert frame.raw == intact.raw
 
     def test_weighted_round_robin_distribution(self, sim):
         block, sinks = self._block_with_targets(sim, 2, weights=[3, 1])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.capture import ParsedRecord
 from repro.net.headers import BaseTransportHeader, Ipv4Header, Opcode, UdpHeader
 from repro.net.link import Node, connect, gbps
 from repro.net.packet import EventType, Packet
@@ -68,7 +69,8 @@ class TestDelayAction:
                                         delay_ns=1_000))
         a.ports[0].send(data_packet(5))
         sim.run()
-        assert dumper.received[0][1].ip.ttl == EventType.DELAY
+        frame = dumper.received[0][1]
+        assert ParsedRecord(frame.raw, 0, "d", 0).ip.ttl == EventType.DELAY
 
 
 class TestReorderAction:

@@ -10,6 +10,7 @@ from repro.net.headers import (
     Opcode,
     UdpHeader,
 )
+from repro.net.capture import ParsedRecord
 from repro.net.link import Node, connect, gbps
 from repro.net.packet import EventType, Packet
 from repro.sim.rng import SimRandom
@@ -159,6 +160,11 @@ class TestEventInjection:
         assert b.received[0].bth.migreq is False
 
 
+def decode(frame):
+    """The record a dumper would store for ``frame``, read back."""
+    return ParsedRecord(frame.raw, 0, "d", 0)
+
+
 class TestMirroring:
     def test_every_roce_packet_mirrored(self, sim):
         switch, a, b, dumpers = build(sim, dumpers=1)
@@ -166,7 +172,9 @@ class TestMirroring:
             a.ports[0].send(data_packet(psn=psn))
         sim.run()
         assert len(dumpers[0].received) == 5
-        assert all(p.is_mirror for p in dumpers[0].received)
+        records = [decode(f) for f in dumpers[0].received]
+        assert [r.mirror_seq for r in records] == [0, 1, 2, 3, 4]
+        assert [r.bth.psn for r in records] == [0, 1, 2, 3, 4]
 
     def test_dropped_packets_still_mirrored(self, sim):
         # §3.4: mirroring happens at ingress before the MMU drop.
@@ -176,13 +184,24 @@ class TestMirroring:
         sim.run()
         assert len(b.received) == 0
         assert len(dumpers[0].received) == 1
-        assert dumpers[0].received[0].ip.ttl == EventType.DROP
+        assert decode(dumpers[0].received[0]).ip.ttl == EventType.DROP
 
     def test_mirror_metadata_event_type_none_by_default(self, sim):
         switch, a, b, dumpers = build(sim, dumpers=1)
         a.ports[0].send(data_packet())
         sim.run()
-        assert dumpers[0].received[0].ip.ttl == EventType.NONE
+        assert decode(dumpers[0].received[0]).ip.ttl == EventType.NONE
+
+    def test_ecn_marked_packet_dumped_with_ingress_ecn(self, sim):
+        # The mirror is taken at ingress, before the event marks CE.
+        switch, a, b, dumpers = build(sim, dumpers=1)
+        switch.install_event(EventEntry(1, 2, 7, 5, 1, "ecn"))
+        a.ports[0].send(data_packet(psn=5))
+        sim.run()
+        assert b.received[0].ip.ecn == ECN_CE
+        record = decode(dumpers[0].received[0])
+        assert record.ip.ttl == EventType.ECN
+        assert record.ip.ecn == ECN_ECT0
 
     def test_mirroring_disabled(self, sim):
         switch, a, b, dumpers = build(sim, mirroring=False, dumpers=1)

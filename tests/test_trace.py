@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.trace import TraceGap, check_integrity, reconstruct_trace
-from repro.dumper.records import make_record
+from repro.dumper.records import DumpRecord
+from repro.net.capture import capture_frame
 from repro.net.headers import (
     AckExtendedHeader,
     BaseTransportHeader,
-    EthernetHeader,
     Ipv4Header,
     Opcode,
     UdpHeader,
@@ -18,8 +18,7 @@ from repro.net.packet import EventType, Packet
 def mirrored(seq, psn, timestamp=None, opcode=Opcode.SEND_ONLY,
              event=EventType.NONE, src=1, dst=2, qpn=9):
     packet = Packet(
-        eth=EthernetHeader(src_mac=seq, dst_mac=timestamp if timestamp is not None else seq * 100),
-        ip=Ipv4Header(src_ip=src, dst_ip=dst, ttl=event),
+        ip=Ipv4Header(src_ip=src, dst_ip=dst),
         udp=UdpHeader(src_port=0xC000, dst_port=4791),
         bth=BaseTransportHeader(opcode=opcode, dest_qp=qpn, psn=psn),
         payload_len=64,
@@ -28,7 +27,10 @@ def mirrored(seq, psn, timestamp=None, opcode=Opcode.SEND_ONLY,
         packet.aeth = AckExtendedHeader.ack()
     packet.ip.total_length = packet.size - 14
     packet.udp.length = packet.ip.total_length - 20
-    return make_record(packet, rx_time_ns=seq, server="d0", core=0)
+    frame = capture_frame(packet, seq,
+                          timestamp if timestamp is not None else seq * 100,
+                          event, 4791)
+    return DumpRecord(frame.raw, rx_time_ns=seq, server="d0", core=0)
 
 
 class TestReconstruction:
