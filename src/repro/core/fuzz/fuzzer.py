@@ -13,8 +13,9 @@ seeds derive from it, so any finding replays exactly.
 
 Campaign execution is *batched*: each generation draws a batch of K
 candidates from the current pool snapshot (consuming the fuzzer RNG
-candidate-by-candidate), runs and scores all K — in-process, or fanned
-out over a :class:`repro.exec.ParallelRunner` process pool — and only
+candidate-by-candidate), runs and scores all K through one
+:meth:`repro.exec.ParallelRunner.map_batch` call — in-process, or
+fanned out over its process pool — and only
 then applies median selection sequentially in candidate order. All RNG
 consumption lives in the sequential phases, so for a fixed
 ``batch_size`` the report is byte-identical for **any** worker count;
@@ -57,7 +58,7 @@ from ..config import TestConfig, TrafficConfig
 from ..orchestrator import run_test
 from ..results import TestResult
 from .mutate import mutate
-from .score import Score, ScoreWeights, novelty_score, score_result
+from .score import Score, ScoreWeights, novelty_score
 
 __all__ = ["FuzzFinding", "FuzzReport", "LuminaFuzzer", "PoolEntry"]
 
@@ -364,109 +365,50 @@ class LuminaFuzzer:
         return batch
 
     def _score_batch(self, batch: Sequence[Tuple[TrafficConfig, TestConfig]],
-                     runner, first_iteration: int,
+                     runner: "ParallelRunner", first_iteration: int,
                      store: Optional["CampaignStore"] = None,
                      ) -> List[Optional[Score]]:
         """Step 3, batched: run + score every candidate.
 
-        With a ``store``, each candidate's fingerprint is probed first
-        and cached scores are replayed without touching the testbed;
-        only the misses are executed (and written back). With a runner,
-        misses execute in pool workers which ship back only the compact
-        :class:`Score` (never the trace). A candidate whose execution
-        fails outright maps to ``None`` and is later counted as an
-        invalid run.
+        One :meth:`~repro.exec.ParallelRunner.map_batch` call: with a
+        ``store``, cached scores replay without touching the testbed
+        and only the misses run (and are written back); pool workers
+        ship back only the compact :class:`Score`, never the trace. A
+        candidate whose run raises maps to ``None`` and is later
+        counted as an invalid run, for any worker count.
         """
-        tel = telemetry.current()
-        cov = coverage.active()
-        scores: List[Optional[Score]] = [None] * len(batch)
-        pending = list(range(len(batch)))
-        fps: List[Optional[str]] = [None] * len(batch)
+        from ...exec import TaskCodec
+        from ...store.serialize import decode_score, encode_score
+
+        fps = None
         if store is not None:
             from ...store.fingerprint import config_fingerprint
-            from ...store.serialize import decode_score
 
             extra: Dict = {"weights": self.weights}
-            if cov is not None:
+            if coverage.active() is not None:
                 extra["coverage"] = True
-            pending = []
-            for i, (_, config) in enumerate(batch):
-                fps[i] = config_fingerprint(config, kind="score", extra=extra)
-                cached = store.get(fps[i])
-                if cached is not None:
-                    scores[i] = decode_score(cached)
-                    if cov is not None and scores[i].coverage:
-                        # Replayed runs never touch run_test, so their
-                        # coverage folds into the session here.
-                        cov.merge_snapshot(scores[i].coverage)
-                else:
-                    pending.append(i)
-        if runner is not None:
-            if pending:
-                with tel.wall_span("fuzz.batch", pid="fuzzer",
-                                   category="fuzz",
-                                   first_iteration=first_iteration,
-                                   size=len(pending)) as span:
-                    outcomes = runner.map([
-                        {"config": batch[i][1], "weights": self.weights}
-                        for i in pending
-                    ])
-                    for i, outcome in zip(pending, outcomes):
-                        scores[i] = outcome.value if outcome.ok else None
-                        if (cov is not None and scores[i] is not None
-                                and scores[i].coverage
-                                and not outcome.ran_in_process):
-                            # Pool workers merge into their own private
-                            # session; fold into the parent's here. An
-                            # in-process fallback already merged via
-                            # run_test — folding again would double it.
-                            cov.merge_snapshot(scores[i].coverage)
-                    span.set(failed=sum(1 for i in pending
-                                        if scores[i] is None))
-        else:
-            for i in pending:
-                config = batch[i][1]
-                # Each iteration spawns an independent sim starting at
-                # t=0, so the generation span lives on the wall-clock
-                # lane.
-                with tel.wall_span("fuzz.generation", pid="fuzzer",
-                                   category="fuzz",
-                                   iteration=first_iteration + i) as span:
-                    if cov is not None:
-                        # Scoped capture: isolate this candidate's
-                        # coverage delta even for custom run_fns that
-                        # hit points without attaching them to the
-                        # result, then fold the scope back into the
-                        # session so the session total is unchanged.
-                        # run_test-produced results already carry
-                        # their own (identical) run snapshot.
-                        with cov.scope() as run_scope:
-                            result = self._run(config)
-                        cov.live.merge_map(run_scope)
-                        rows = result.coverage
-                        if rows is None and len(run_scope):
-                            rows = run_scope.snapshot()
-                    else:
-                        result = self._run(config)
-                        rows = result.coverage
-                    score = score_result(result, self.weights)
-                    # The score just carries the snapshot for the
-                    # fuzzer's cumulative map and the store.
-                    score.coverage = rows
-                    span.set(score=round(score.total, 3), valid=score.valid)
-                scores[i] = score
-        if store is not None:
-            from ...store.serialize import encode_score
-
-            for i in pending:
-                if scores[i] is not None:
-                    store.put(fps[i], "score", encode_score(scores[i]))
+            fps = [config_fingerprint(config, kind="score", extra=extra)
+                   for _, config in batch]
+        payloads: List[Dict] = []
+        for offset, (_, config) in enumerate(batch):
+            payload = {"config": config, "weights": self.weights,
+                       "iteration": first_iteration + offset}
+            if self._run is not run_test:
+                payload["run_fn"] = self._run
+            payloads.append(payload)
+        codec = TaskCodec("score", encode_score, decode_score)
+        with telemetry.current().wall_span(
+                "fuzz.batch", pid="fuzzer", category="fuzz",
+                first_iteration=first_iteration, size=len(batch)) as span:
+            outcomes = runner.map_batch(payloads, codec, store, fps)
+            scores = [o.value if o.ok else None for o in outcomes]
+            span.set(cached=sum(o.cached for o in outcomes),
+                     failed=scores.count(None))
         return scores
 
     # ------------------------------------------------------------------
     def run(self, iterations: int = 20, stop_on_first: bool = False,
             workers: int = 1, batch_size: int = 1,
-            runner: Optional["ParallelRunner"] = None,
             store: Optional["CampaignStore"] = None,
             campaign_dir: Optional[str] = None,
             coverage_fitness: Optional[bool] = None) -> FuzzReport:
@@ -479,10 +421,9 @@ class LuminaFuzzer:
         ``batch_size``, and ``batch_size=1`` (the default) reproduces
         the historical strictly-serial schedule exactly.
 
-        A ``runner`` may be injected (for pool reuse across campaigns
-        or for tests); otherwise one is created when ``workers > 1``.
-        Pool execution requires the default ``run_test`` runner — a
-        custom ``run_fn`` keeps scoring in-process.
+        One runner serves the whole campaign, so its pool is reused
+        across generations. Pool execution requires the default
+        ``run_test`` — a custom ``run_fn`` keeps scoring in-process.
 
         ``store`` dedups identical candidate runs across (and within)
         campaigns. ``campaign_dir`` makes the campaign *persistent*:
@@ -565,13 +506,11 @@ class LuminaFuzzer:
         m_findings = tel.counter("fuzz_findings")
         h_score = tel.histogram("fuzz_score",
                                 buckets=(0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0))
-        owns_runner = False
-        if runner is None and workers > 1 and self._run is run_test:
-            from ...exec import ParallelRunner
-            from ...exec.tasks import score_config_task
+        from ...exec import ParallelRunner
+        from ...exec.tasks import score_config_task
 
-            runner = ParallelRunner(score_config_task, workers=workers)
-            owns_runner = True
+        runner = ParallelRunner(score_config_task,
+                                workers=workers if self._run is run_test else 1)
         try:
             while completed < iterations and not stopped:
                 batch = self._generate_batch(
@@ -672,6 +611,5 @@ class LuminaFuzzer:
                     if crash_after is not None and generation >= crash_after:
                         raise SystemExit(3)
         finally:
-            if owns_runner:
-                runner.close()
+            runner.close()
         return report

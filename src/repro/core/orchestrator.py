@@ -28,9 +28,6 @@ if TYPE_CHECKING:  # avoid a runtime core -> store import cycle
     from ..store.index import CampaignStore
 
 from ..coverage import runtime as coverage
-from ..net.checksum import icrc_for
-from ..net.checksum import icrc_batch_stats
-from ..net.packet import pack_cache_hits
 from ..switch.events import RewriteRule
 from ..telemetry import runtime as telemetry
 from ..telemetry.instrument import attach_testbed
@@ -41,7 +38,7 @@ from .testbed import Host, Testbed, build_testbed
 from .trace import check_integrity, reconstruct_trace
 from .trafficgen import TrafficSession
 
-__all__ = ["Orchestrator", "run_test", "run_tests"]
+__all__ = ["Orchestrator", "run_test"]
 
 #: The legacy fixed drain; the adaptive drain's first (and usually only)
 #: slice, so quiescent runs stay bit-for-bit identical to before.
@@ -84,11 +81,6 @@ class Orchestrator:
         session = telemetry.current()
         m_retries = session.counter("run_retries")
         m_integrity_failures = session.counter("run_integrity_failures")
-        # Hot-path cache effectiveness: record per-run deltas of the
-        # process-wide icrc_for lru_cache and pack_headers() counters.
-        icrc_info_start = icrc_for.cache_info()
-        batch_hits_start, batch_misses_start = icrc_batch_stats()
-        pack_hits_start = pack_cache_hits()
         policy = self.config.retry
         cov = coverage.active()
         with coverage.current().scope() as run_map:
@@ -133,16 +125,6 @@ class Orchestrator:
                 result.flight_record = cov.flight_snapshot()
         if telemetry.active() is not None:
             session.gauge("run_attempts").set(len(attempts))
-            icrc_info = icrc_for.cache_info()
-            batch_hits, batch_misses = icrc_batch_stats()
-            session.counter("icrc_cache_hits").inc(
-                icrc_info.hits - icrc_info_start.hits
-                + batch_hits - batch_hits_start)
-            session.counter("icrc_cache_misses").inc(
-                icrc_info.misses - icrc_info_start.misses
-                + batch_misses - batch_misses_start)
-            session.counter("pack_cache_hits").inc(
-                pack_cache_hits() - pack_hits_start)
         return result
 
     def _run_attempt(self) -> TestResult:
@@ -252,9 +234,11 @@ def run_test(config: TestConfig,
     are extra-config state, so rewrite-rule runs bypass the store.
 
     With coverage enabled, the run's coverage snapshot rides on the
-    result and is merged into the live session map here — the same
-    single merge point for fresh, cached and pool-executed runs, which
-    is what keeps campaign maps byte-identical across worker counts.
+    result and is merged into the live session map here, for fresh and
+    cached runs alike. Campaign batches fold through
+    :meth:`repro.exec.ParallelRunner.map_batch` instead, whose
+    in-process path runs each task under a throwaway scope, so this
+    merge never counts a batched run twice.
     """
     cov = coverage.active()
     if store is not None and not rewrite_rules:
@@ -274,78 +258,3 @@ def run_test(config: TestConfig,
     if cov is not None and result.coverage:
         cov.merge_snapshot(result.coverage)
     return result
-
-
-def run_tests(configs: List[TestConfig], workers: int = 1,
-              task_timeout_s: Optional[float] = None,
-              store: Optional["CampaignStore"] = None) -> List[TestResult]:
-    """Run a batch of independent tests, optionally on a process pool.
-
-    Results come back in config order and are identical for any worker
-    count (each run is seed-deterministic and fully isolated). Full
-    :class:`TestResult` objects — traces included — cross the process
-    boundary, so for very large campaigns prefer a compact task
-    (see :mod:`repro.exec.tasks`) over this convenience.
-
-    Raises ``RuntimeError`` if any run fails outright; worker crashes
-    are retried and fall back to in-process execution first.
-
-    ``store`` dedups: cached configs are replayed from disk and only
-    the misses are dispatched (results are written back).
-    """
-    if workers <= 1:
-        return [run_test(config, store=store) for config in configs]
-    cov = coverage.active()
-    results: List[Optional[TestResult]] = [None] * len(configs)
-    pending = list(range(len(configs)))
-    fps: List[Optional[str]] = [None] * len(configs)
-    if store is not None:
-        from ..store.fingerprint import config_fingerprint
-        from ..store.serialize import decode_result
-
-        extra = {"coverage": True} if cov is not None else None
-        pending = []
-        for i, config in enumerate(configs):
-            fps[i] = config_fingerprint(config, kind="result", extra=extra)
-            cached = store.get(fps[i])
-            if cached is not None:
-                results[i] = decode_result(cached)
-            else:
-                pending.append(i)
-    merged_in_process = set()
-    if pending:
-        from ..exec import ParallelRunner
-        from ..exec.tasks import run_config_task
-
-        with ParallelRunner(run_config_task, workers=workers,
-                            task_timeout_s=task_timeout_s) as runner:
-            outcomes = runner.map([{"config": configs[i]} for i in pending])
-        failures = [o for o in outcomes if not o.ok]
-        if failures:
-            raise RuntimeError(
-                f"{len(failures)} of {len(configs)} runs failed; first: "
-                f"{failures[0].error}")
-        if store is not None:
-            from ..store.serialize import encode_result
-
-            for i, outcome in zip(pending, outcomes):
-                results[i] = outcome.value
-                store.put(fps[i], "result", encode_result(outcome.value))
-        else:
-            for i, outcome in zip(pending, outcomes):
-                results[i] = outcome.value
-        for i, outcome in zip(pending, outcomes):
-            if outcome.ran_in_process:
-                # The fallback ran run_test in this process, which
-                # already merged its coverage into the session.
-                merged_in_process.add(i)
-    if cov is not None:
-        # Same merge route as run_test, in config order: worker-local
-        # maps ride on each result and fold here, so any worker count
-        # produces an identical session map.
-        for i, result in enumerate(results):
-            if i in merged_in_process:
-                continue
-            if result is not None and result.coverage:
-                cov.merge_snapshot(result.coverage)
-    return results  # type: ignore[return-value]

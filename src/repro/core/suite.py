@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # avoid a runtime core -> exec/store import cycle
-    from ..exec.runner import ParallelRunner
     from ..faults.scenarios import FaultScenario
     from ..store.index import CampaignStore
 
@@ -571,7 +570,6 @@ def run_single_check(name: str, nic: str, seed: int,
 def run_conformance_suite(nic: str, seed: Optional[int] = None,
                           checks: Optional[List[str]] = None,
                           workers: int = 1,
-                          runner: Optional["ParallelRunner"] = None,
                           faults: Optional[Union[str, "FaultScenario"]] = None,
                           store: Optional["CampaignStore"] = None,
                           ) -> Scorecard:
@@ -585,8 +583,9 @@ def run_conformance_suite(nic: str, seed: Optional[int] = None,
     :class:`repro.exec.ParallelRunner` process pool. The scorecard is
     identical for any worker count: results keep battery order and
     each check's verdict depends only on ``(nic, seed)``. A check
-    whose *execution* dies (worker lost and unrecoverable) reports as
-    a failed check rather than aborting the battery.
+    whose *execution* fails (the check raises, or its worker is lost
+    for good) reports as a failed check rather than aborting the
+    battery, whatever the worker count.
 
     ``faults`` (a scenario name or :class:`FaultScenario`) runs every
     check under injected measurement-plane faults: trace-based checks
@@ -606,67 +605,24 @@ def run_conformance_suite(nic: str, seed: Optional[int] = None,
     if unknown:
         raise KeyError(f"unknown checks: {sorted(unknown)}")
     scenario = _resolve_faults(faults)
-    card = Scorecard(nic=nic)
-    results: Dict[str, CheckResult] = {}
-    fps: Dict[str, str] = {}
-    pending = list(selected)
+    from ..exec import ParallelRunner, TaskCodec
+    from ..exec.tasks import run_check_task
+    from ..store.serialize import decode_check_result, encode_check_result
+
+    fps = None
     if store is not None:
-        from ..store.serialize import decode_check_result
-
-        pending = []
-        for name in selected:
-            fps[name] = _check_fingerprint(name, nic, seed, scenario)
-            cached = store.get(fps[name])
-            if cached is not None:
-                results[name] = decode_check_result(cached)
-            else:
-                pending.append(name)
-
-    def _record(name: str, result: CheckResult, cacheable: bool) -> None:
-        results[name] = result
-        if store is not None and cacheable:
-            from ..store.serialize import encode_check_result
-
-            store.put(fps[name], "check", encode_check_result(result))
-
-    if pending and workers <= 1 and runner is None:
-        for name in pending:
-            _record(name, run_single_check(name, nic, seed, scenario), True)
-    elif pending:
-        from ..exec import ParallelRunner
-        from ..exec.tasks import run_check_task
-
-        owns_runner = runner is None
-        if owns_runner:
-            runner = ParallelRunner(run_check_task, workers=workers)
-        try:
-            payloads = []
-            for name in pending:
-                payload: Dict[str, object] = {"check": name, "nic": nic,
-                                              "seed": seed}
-                if scenario is not None:
-                    # FaultScenario is a frozen dataclass: pickles fine,
-                    # so ad-hoc scenarios work across the pool, not just
-                    # named presets.
-                    payload["faults"] = scenario
-                payloads.append(payload)
-            outcomes = runner.map(payloads)
-        finally:
-            if owns_runner:
-                runner.close()
-        for name, outcome in zip(pending, outcomes):
-            if outcome.ok:
-                _record(name, outcome.value, True)
-            else:
-                _record(name, CheckResult(
-                    name, False, f"execution failed: {outcome.error}"), False)
-    card.results = [results[name] for name in selected]
-    cov = coverage.active()
-    if cov is not None:
-        # Fold each check's map into the session in battery order — the
-        # same route for serial, pooled and store-replayed verdicts, so
-        # the session map is byte-identical for any worker count.
-        for check in card.results:
-            if check.coverage:
-                cov.merge_snapshot(check.coverage)
+        fps = [_check_fingerprint(name, nic, seed, scenario)
+               for name in selected]
+    # FaultScenario is a frozen dataclass: it pickles, so ad-hoc
+    # scenarios work across the pool, not just named presets.
+    payloads = [{"check": name, "nic": nic, "seed": seed, "faults": scenario}
+                for name in selected]
+    codec = TaskCodec("check", encode_check_result, decode_check_result)
+    with ParallelRunner(run_check_task, workers=workers) as runner:
+        outcomes = runner.map_batch(payloads, codec, store, fps)
+    card = Scorecard(nic=nic)
+    card.results = [
+        outcome.value if outcome.ok else CheckResult(
+            name, False, f"execution failed: {outcome.error}")
+        for name, outcome in zip(selected, outcomes)]
     return card

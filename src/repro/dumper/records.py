@@ -13,13 +13,9 @@ headers are decoded on first access.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from ..net.capture import TRIM_BYTES, ParsedRecord, restore_rss_port
-from ..net.checksum import icrc_many
 
-__all__ = ["TRIM_BYTES", "DumpRecord", "ParsedRecord", "parse_record",
-           "expected_icrcs"]
+__all__ = ["TRIM_BYTES", "DumpRecord", "ParsedRecord", "parse_record"]
 
 
 class DumpRecord:
@@ -73,15 +69,3 @@ def parse_record(record: DumpRecord) -> ParsedRecord:
     ever receive mirrored RoCE traffic, so this indicates corruption).
     """
     return ParsedRecord(record.raw, record.rx_time_ns, record.server, record.core)
-
-
-def expected_icrcs(parsed: Iterable[ParsedRecord]) -> List[int]:
-    """Clean iCRC each record's packet should have carried on the wire.
-
-    Batched over :func:`repro.net.checksum.icrc_many`: mirror trains
-    repeat a handful of transport-header shapes, so computing the whole
-    trace at once lets the duplicates collapse instead of paying one
-    cache probe per record. Corruption analysis compares these against
-    the receiving RNIC's ``rx_icrc_errors`` accounting.
-    """
-    return icrc_many((p.transport_bytes(), p.payload_len) for p in parsed)

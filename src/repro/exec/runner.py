@@ -7,7 +7,8 @@ payloads over a ``spawn``-safe :class:`~concurrent.futures.\
 ProcessPoolExecutor` and hides the operational sharp edges:
 
 * ``workers=1`` (or an unavailable pool) degrades to in-process serial
-  execution with identical semantics,
+  execution with identical semantics: each task runs under a throwaway
+  coverage scope, as isolated as it would be in a pool worker,
 * per-task timeouts kill the wedged pool and carry on,
 * a worker crash (``BrokenProcessPool``) re-runs the affected tasks on
   a fresh pool, and after ``max_retries`` attempts runs them in-process
@@ -15,7 +16,11 @@ ProcessPoolExecutor` and hides the operational sharp edges:
 * workers run each task with the parent session's facets on; their
   metrics registries are snapshotted and merged into the parent's
   session in task order, keeping merged metrics deterministic for any
-  worker count.
+  worker count,
+* :meth:`ParallelRunner.map_batch` is the one campaign fan-out: it
+  replays store hits, runs only the misses, writes fresh values back
+  and folds the coverage every value carries, in payload order. The
+  sweep, the conformance suite and the fuzzer all go through it.
 
 Determinism contract: the runner never reorders results (outcome ``i``
 always corresponds to payload ``i``) and injects no randomness, so any
@@ -27,16 +32,21 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import operator
 import pickle
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, List, Optional, Sequence,
+                    Tuple)
+
+if TYPE_CHECKING:  # avoid a runtime exec -> store import cycle
+    from ..store.index import CampaignStore
 
 from .. import sessions
 from . import worker as worker_mod
 
-__all__ = ["TaskOutcome", "RunnerStats", "ParallelRunner",
+__all__ = ["TaskOutcome", "RunnerStats", "ParallelRunner", "TaskCodec",
            "UnpicklableTaskError"]
 
 
@@ -86,10 +96,9 @@ _MAX_POOL_BREAKS = 3
 class TaskOutcome:
     """Result envelope for one mapped payload (same index as input).
 
-    ``cached`` marks outcomes replayed from a campaign store rather
-    than executed; the runner itself never sets it, but campaign
-    front-ends construct cached outcomes so hit and miss cells flow
-    through one reporting path.
+    ``cached`` marks outcomes that :meth:`ParallelRunner.map_batch`
+    replayed from a campaign store rather than executed, so hit and
+    miss cells flow through one reporting path.
     """
 
     index: int
@@ -97,8 +106,29 @@ class TaskOutcome:
     value: Any = None
     error: Optional[str] = None
     attempts: int = 1
-    ran_in_process: bool = False
     cached: bool = False
+
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+@dataclass(frozen=True)
+class TaskCodec:
+    """How one campaign's task values are stored and carry coverage.
+
+    ``kind`` tags the store entry, ``encode``/``decode`` convert a value
+    to and from its JSON-able stored form, and ``coverage`` returns the
+    coverage snapshot a value carries (``None`` when it carries none;
+    by default the value's ``coverage`` attribute, as on a ``Score`` or
+    a ``CheckResult``).
+    """
+
+    kind: str
+    encode: Callable[[Any], Any] = _identity
+    decode: Callable[[Any], Any] = _identity
+    coverage: Callable[[Any], Optional[list]] = \
+        operator.attrgetter("coverage")
 
 
 @dataclass
@@ -206,15 +236,20 @@ class ParallelRunner:
                         attempts: int = 1) -> TaskOutcome:
         self.stats.in_process_runs += 1
         try:
-            value = self.task_fn(payload)
+            # A throwaway coverage scope, as private as a pool worker's
+            # session: hits the task folds itself (``run_test`` does)
+            # vanish here, and reach the session only through the value
+            # that map_batch folds.
+            with sessions.current().scope():
+                value = self.task_fn(payload)
         except Exception as exc:
             self.stats.tasks_failed += 1
             return TaskOutcome(index=index, ok=False,
                                error=f"{type(exc).__name__}: {exc}",
-                               attempts=attempts, ran_in_process=True)
+                               attempts=attempts)
         self.stats.tasks_completed += 1
         return TaskOutcome(index=index, ok=True, value=value,
-                           attempts=attempts, ran_in_process=True)
+                           attempts=attempts)
 
     def map(self, payloads: Sequence[Any]) -> List[TaskOutcome]:
         """Run every payload; outcomes come back in payload order.
@@ -310,4 +345,48 @@ class ParallelRunner:
         # is identical for any worker count / completion order.
         for i in sorted(snapshots):
             session.registry.merge(snapshots[i])
+        return outcomes  # type: ignore[return-value]
+
+    def map_batch(self, payloads: Sequence[Any], codec: TaskCodec,
+                  store: Optional["CampaignStore"] = None,
+                  fingerprints: Optional[Sequence[str]] = None,
+                  ) -> List[TaskOutcome]:
+        """One campaign batch: replay store hits, run the misses, fold.
+
+        With a ``store``, ``fingerprints[i]`` addresses payload ``i``:
+        a hit is decoded into a ``cached`` outcome without running, and
+        only the misses go through :meth:`map` (a fully cached batch
+        builds no pool). Successful fresh values are written back in
+        payload order; failures never are. Then, with coverage on, the
+        snapshot each successful value carries is folded into the
+        session in payload order — the one fold for cached, pooled and
+        in-process outcomes alike, which keeps the session map
+        identical for any worker count.
+        """
+        outcomes: List[Optional[TaskOutcome]] = [None] * len(payloads)
+        misses = list(range(len(payloads)))
+        fps: Sequence[str] = fingerprints or ()
+        if store is not None:
+            misses = []
+            for i, fp in enumerate(fps):
+                stored = store.get(fp)
+                if stored is None:
+                    misses.append(i)
+                else:
+                    outcomes[i] = TaskOutcome(index=i, ok=True, cached=True,
+                                              value=codec.decode(stored))
+        if misses:
+            fresh = self.map([payloads[i] for i in misses])
+            for i, outcome in zip(misses, fresh):
+                outcome.index = i
+                outcomes[i] = outcome
+                if store is not None and outcome.ok:
+                    store.put(fps[i], codec.kind,
+                              codec.encode(outcome.value))
+        session = sessions.current()
+        if session.coverage_on:
+            for outcome in outcomes:
+                rows = codec.coverage(outcome.value) if outcome.ok else None
+                if rows:
+                    session.merge_snapshot(rows)
         return outcomes  # type: ignore[return-value]

@@ -11,9 +11,9 @@ process, amortised over every task it serves.
 Campaign tasks return *compact* values — a :class:`Score`, a
 :class:`CheckResult`, a summary dict — never full packet traces; a
 trace can be tens of thousands of parsed records and would make the
-result pipe the bottleneck. The exception is :func:`run_config_task`,
-the building block of :func:`repro.core.orchestrator.run_tests`, whose
-callers explicitly want the full :class:`TestResult` back.
+result pipe the bottleneck. Each value carries its own coverage
+snapshot, which :meth:`~repro.exec.runner.ParallelRunner.map_batch`
+folds into the session however the task ran.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Any, Dict
 __all__ = [
     "score_config_task",
     "run_check_task",
-    "run_config_task",
     "run_summary_task",
     "summarize_result",
     "echo_task",
@@ -37,17 +36,30 @@ __all__ = [
 def score_config_task(payload: Dict[str, Any]):
     """Fuzzer unit: run one candidate config and return only its Score.
 
-    Payload: ``{"config": TestConfig, "weights": ScoreWeights}``.
+    Payload: ``{"config": TestConfig, "weights": ScoreWeights,
+    "iteration": int}`` plus, in-process only, a custom ``"run_fn"``
+    (default :func:`~repro.core.orchestrator.run_test`).
     """
+    from .. import sessions
     from ..core.fuzz.score import score_result
     from ..core.orchestrator import run_test
 
-    result = run_test(payload["config"])
-    score = score_result(result, payload["weights"])
-    if result.coverage is not None:
+    session = sessions.current()
+    # Each candidate is an independent sim starting at t=0, so its span
+    # lives on the wall-clock lane.
+    with session.wall_span("fuzz.generation", pid="fuzzer", category="fuzz",
+                           iteration=payload["iteration"]) as span:
+        # Scoped capture: a custom run_fn may hit points without
+        # attaching them to its result; run_test results carry their own.
+        with session.scope() as run_scope:
+            result = payload.get("run_fn", run_test)(payload["config"])
+        score = score_result(result, payload["weights"])
         # Ride the run's coverage on the compact score so the fuzzer's
         # cumulative map grows identically for any worker count.
         score.coverage = result.coverage
+        if score.coverage is None and len(run_scope):
+            score.coverage = run_scope.snapshot()
+        span.set(score=round(score.total, 3), valid=score.valid)
     return score
 
 
@@ -68,17 +80,6 @@ def run_check_task(payload: Dict[str, Any]):
         faults = get_scenario(faults)
     return run_single_check(payload["check"], payload["nic"],
                             payload["seed"], faults)
-
-
-def run_config_task(payload: Dict[str, Any]):
-    """Run one test config and return the full TestResult.
-
-    Payload: ``{"config": TestConfig}``. Heavyweight return — prefer
-    :func:`run_summary_task` for large sweeps.
-    """
-    from ..core.orchestrator import run_test
-
-    return run_test(payload["config"])
 
 
 def summarize_result(result) -> Dict[str, Any]:

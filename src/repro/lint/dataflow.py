@@ -513,17 +513,15 @@ class SpawnRaceRule(ProgramRule):
                  "appendleft"}
     _MERGE_METHODS = {"merge", "merge_snapshot", "merge_map"}
     #: The declared single merge points (qname suffixes): the runner's
-    #: task-order registry fold, the orchestrator/suite/fuzzer coverage
-    #: folds. Everything else merging observability state is a second
-    #: merge path waiting to double-count.
+    #: task-order registry fold, the campaign batch's coverage fold, a
+    #: single run's fold and the fuzzer's own campaign map. Everything
+    #: else merging observability state — a campaign front-end folding
+    #: by hand included — is a second merge path waiting to double-count.
     _MERGE_POINTS = (
         "exec.runner.ParallelRunner.map",
+        "exec.runner.ParallelRunner.map_batch",
         "core.orchestrator.run_test",
-        "core.orchestrator.run_tests",
-        "core.suite.run_conformance_suite",
-        "core.fuzz.fuzzer.LuminaFuzzer._score_batch",
         "core.fuzz.fuzzer.LuminaFuzzer.run",
-        "core.sweep.run_sweep",
     )
     _MERGE_RECEIVER_HINTS = ("coverage", "telemetry", "registry", "sessions")
     _MERGE_RECEIVER_NAMES = {"cov", "session", "registry", "total", "tel"}

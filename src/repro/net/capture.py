@@ -370,12 +370,3 @@ class ParsedRecord:
     @property
     def event_name(self) -> str:
         return EventType.NAMES.get(self.event_type, f"unknown({self.event_type})")
-
-    def transport_bytes(self) -> bytes:
-        """The packed IB transport headers the iCRC is computed over."""
-        data = self.bth.pack()
-        if self.reth is not None:
-            data += self.reth.pack()
-        if self.aeth is not None:
-            data += self.aeth.pack()
-        return data

@@ -12,9 +12,11 @@ stamped into TTL and the MACs (:mod:`repro.net.capture`).
 instance per simulated packet, and the dict-per-instance cost plus
 dataclass-generated method overhead was measurable in profiles.
 Semantics match the dataclass it replaced — field order, defaults,
-value-``__eq__`` over every real field including ``packet_id`` (wire
-caches excluded), unhashable — and pickling for the spawn pool drops
-the caches so workers never ship stale wire bytes.
+value-``__eq__`` over every real field including ``packet_id`` (the
+wire-size cache excluded), unhashable — and pickling for the spawn pool
+drops that cache. ``pack_headers()`` and ``icrc()`` compute their bytes
+afresh on each call: no run path calls them, and the golden wire
+vectors pin what they return.
 """
 
 from __future__ import annotations
@@ -40,19 +42,9 @@ from .headers import (
     AETH_LEN,
 )
 
-__all__ = ["Packet", "EventType", "pack_cache_hits"]
+__all__ = ["Packet", "EventType"]
 
 _packet_ids = itertools.count(1)
-
-#: Process-wide count of pack_headers() calls served from the wire
-#: cache. Telemetry-only (the orchestrator records per-run deltas);
-#: never feeds simulation state.
-_pack_cache_hits = 0
-
-
-def pack_cache_hits() -> int:
-    """Cumulative pack_headers() cache hits in this process."""
-    return _pack_cache_hits
 
 
 class EventType:
@@ -78,12 +70,11 @@ class Packet:
     __slots__ = (
         "eth", "ip", "udp", "bth", "reth", "aeth", "payload_len",
         "icrc_ok", "packet_id",
-        # Wire-format caches. Headers are immutable between explicit
-        # switch rewrites, so serialisation results are reused until a
-        # mutation path calls invalidate_wire_cache(). Excluded from
-        # equality and pickling: a cached and an uncached packet are
-        # the same packet.
-        "_packed_headers", "_icrc_clean", "_wire_size",
+        # Wire-size cache. Headers are immutable between explicit
+        # switch rewrites, so the size is reused until a mutation path
+        # calls invalidate_wire_cache(). Excluded from equality and
+        # pickling: a cached and an uncached packet are the same packet.
+        "_wire_size",
     )
     __hash__ = None  # value-equal, like the dataclass it replaced
 
@@ -110,8 +101,6 @@ class Packet:
         self.icrc_ok = icrc_ok
         #: Unique id for tracing/debugging inside the simulation only.
         self.packet_id = packet_id if packet_id is not None else next(_packet_ids)
-        self._packed_headers: Optional[bytes] = None
-        self._icrc_clean: Optional[int] = None
         self._wire_size: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -131,15 +120,13 @@ class Packet:
                 and self.packet_id == other.packet_id)
 
     def __getstate__(self) -> tuple:
-        # Caches are process-local; rebuild lazily after unpickling.
+        # The size cache is process-local; rebuilt lazily after unpickling.
         return (self.eth, self.ip, self.udp, self.bth, self.reth, self.aeth,
                 self.payload_len, self.icrc_ok, self.packet_id)
 
     def __setstate__(self, state: tuple) -> None:
         (self.eth, self.ip, self.udp, self.bth, self.reth, self.aeth,
          self.payload_len, self.icrc_ok, self.packet_id) = state
-        self._packed_headers = None
-        self._icrc_clean = None
         self._wire_size = None
 
     # ------------------------------------------------------------------
@@ -196,27 +183,16 @@ class Packet:
     # Wire representation
     # ------------------------------------------------------------------
     def invalidate_wire_cache(self) -> None:
-        """Drop cached wire bytes after a header field mutation.
+        """Drop the cached wire size after a header field mutation.
 
         Every path that rewrites headers in place (the event injector's
         ECN mark, rewrite rules) must call this; construction starts
         clean.
-        ``icrc_ok`` flips need no invalidation — the corruption xor is
-        applied per call on top of the cached clean CRC.
         """
-        self._packed_headers = None
-        self._icrc_clean = None
         self._wire_size = None
 
     def pack_headers(self) -> bytes:
         """Serialise all headers to wire bytes (no payload, no iCRC)."""
-        data = self._packed_headers
-        if data is not None:
-            global _pack_cache_hits
-            # repro-lint: ignore[RACE001] — perf counter read as per-run
-            # deltas by the orchestrator's telemetry; worker-local by design.
-            _pack_cache_hits += 1  # repro-lint: ignore[RACE001]
-            return data
         data = self.eth.pack()
         if self.ip is not None:
             data += self.ip.pack()
@@ -228,7 +204,6 @@ class Packet:
             data += self.reth.pack()
         if self.aeth is not None:
             data += self.aeth.pack()
-        self._packed_headers = data
         return data
 
     def icrc(self) -> int:
@@ -237,17 +212,14 @@ class Packet:
         Returns a value that will not match the recomputed CRC when the
         packet has been corrupted in flight (``icrc_ok`` is False).
         """
-        value = self._icrc_clean
-        if value is None:
-            transport = b""
-            if self.bth is not None:
-                transport += self.bth.pack()
-            if self.reth is not None:
-                transport += self.reth.pack()
-            if self.aeth is not None:
-                transport += self.aeth.pack()
-            value = icrc_for(transport, self.payload_len)
-            self._icrc_clean = value
+        transport = b""
+        if self.bth is not None:
+            transport += self.bth.pack()
+        if self.reth is not None:
+            transport += self.reth.pack()
+        if self.aeth is not None:
+            transport += self.aeth.pack()
+        value = icrc_for(transport, self.payload_len)
         if not self.icrc_ok:
             value ^= 0xDEADBEEF  # any bit flip invalidates the CRC
         return value

@@ -30,14 +30,14 @@ different cost profiles:
 **Scopes.** Campaign layers need per-run and per-check maps (carried
 on results across process boundaries) *and* a campaign total, so the
 coverage facet holds a stack of maps. :meth:`Session.scope` isolates
-the hits of one run (orchestrator), one check (suite) or one
-in-process fuzz candidate (fuzzer) and pops the scope *without*
-folding it into its parent. Folding is the caller's job at the
-declared fold points (``run_test`` merges result-carried snapshots,
-the suite merges check-carried snapshots in battery order, the fuzzer
-folds its candidate scope), so serial, pooled and store-replayed work
-take the same single merge route — the root of the workers∈{1,2,4}
-byte-identity guarantee.
+the hits of one run (orchestrator), one check (suite), one fuzz
+candidate or one in-process campaign task (the runner) and pops the
+scope *without* folding it into its parent. Folding is the caller's
+job at the declared fold points (``run_test`` merges a single run's
+snapshot; :meth:`repro.exec.ParallelRunner.map_batch` folds the
+snapshots a campaign batch's values carry, in item order), so serial,
+pooled and store-replayed work take the same single merge route — the
+root of the workers∈{1,2,4} byte-identity guarantee.
 
 **Lifecycle.** :func:`session_scope` is the one way to switch facets
 on around a block: the CLI, the campaign service's job process

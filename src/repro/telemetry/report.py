@@ -37,9 +37,6 @@ _HEADLINE_METRICS = (
     ("fault_mirror_delayed", "mirror clones delayed (fault inj.)"),
     ("run_integrity_failures", "integrity failures"),
     ("run_retries", "integrity-driven retries"),
-    ("icrc_cache_hits", "iCRC cache hits"),
-    ("icrc_cache_misses", "iCRC cache misses"),
-    ("pack_cache_hits", "header pack cache hits"),
     ("coverage_domains_hit", "coverage: domains hit"),
     ("coverage_points_hit", "coverage: points hit"),
     ("coverage_points_known", "coverage: points known"),

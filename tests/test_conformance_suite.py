@@ -88,6 +88,22 @@ class TestSuiteApi:
                                   checks=["ets-work-conservation"])
         assert a.results[0].detail == b.results[0].detail
 
+    def test_raising_check_fails_without_aborting_at_one_worker(
+            self, monkeypatch):
+        # workers=1 follows the pool's rule: a check that raises becomes
+        # a failed verdict and the rest of the battery still runs.
+        def broken(nic, seed, scenario):
+            raise RuntimeError("model blew up")
+
+        monkeypatch.setitem(CHECKS, "cnp-generation", broken)
+        card = run_conformance_suite(
+            "ideal", checks=["cnp-generation", "gbn-logic"], workers=1)
+        failed, passed = card.results
+        assert not failed.passed
+        assert failed.detail == \
+            "execution failed: RuntimeError: model blew up"
+        assert passed.passed
+
     def test_check_result_str(self):
         result = CheckResult("x", True, "fine")
         assert "PASS" in str(result)

@@ -16,9 +16,10 @@ import pytest
 
 from repro import quick_config
 from repro.core.fuzz import LuminaFuzzer
-from repro.core.orchestrator import run_test, run_tests
+from repro.core.orchestrator import run_test
 from repro.core.suite import (DEFAULT_SUITE_SEED, Outcome,
                               run_conformance_suite, run_single_check)
+from repro.core.sweep import run_sweep
 from repro.core.trace import format_trace
 from repro.coverage import runtime as coverage
 from repro.coverage.domains import DOMAINS, known_point_count
@@ -128,13 +129,16 @@ class TestResultAttachment:
 
 
 class TestWorkerDeterminism:
-    SEEDS = (31, 32, 33, 34)
+    #: The sweep grid of four ``_config`` runs, seeds 31-34.
+    GRID = {"config": None, "nics": ["cx5"], "seeds": 4, "base-seed": 31,
+            "verb": "write", "connections": 2, "messages": 2, "size": 8192}
 
     def _session_doc(self, workers: int) -> str:
         session = coverage.enable()
         try:
-            run_tests([_config(seed) for seed in self.SEEDS],
-                      workers=workers)
+            execution = run_sweep(self.GRID, workers=workers)
+            assert all(o.ok and o.value["coverage"]
+                       for o in execution.outcomes)
             return canonical_coverage_json(session.total_snapshot())
         finally:
             coverage.disable()

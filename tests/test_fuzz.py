@@ -110,6 +110,23 @@ class TestFuzzer:
         assert report.iterations_run == 4
         assert len(report.pool_scores) <= 4
 
+    def test_raising_run_counts_as_invalid_at_one_worker(self):
+        # workers=1 follows the pool's rule: a candidate whose run
+        # raises is an invalid run, not the end of the campaign.
+        calls = {"n": 0}
+
+        def run_fn(config):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("candidate crashed the model")
+            return run_test(config)
+
+        report = LuminaFuzzer(self._base_config(), seed=3,
+                              run_fn=run_fn).run(iterations=3, workers=1)
+        assert calls["n"] == 3
+        assert report.iterations_run == 3
+        assert report.invalid_runs >= 1
+
     def test_deterministic_given_seed(self):
         a = LuminaFuzzer(self._base_config(), seed=3).run(iterations=4)
         b = LuminaFuzzer(self._base_config(), seed=3).run(iterations=4)

@@ -352,6 +352,20 @@ def test_race001_merge_at_declared_point_not_flagged():
     assert findings == []
 
 
+def test_race001_merge_in_campaign_front_end_flagged():
+    # Campaign batches fold coverage once, in ParallelRunner.map_batch;
+    # a front-end folding by hand is a second merge path.
+    findings = analyze({
+        "repro/core/sweep.py": """
+            def run_sweep(cov, outcomes):
+                for outcome in outcomes:
+                    cov.merge_snapshot(outcome.value["coverage"])
+        """,
+    }, select={"RACE001"})
+    assert codes(findings) == ["RACE001"]
+    assert "map_batch" in findings[0].message
+
+
 def test_race001_merge_through_sessions_accessor_flagged():
     findings = analyze({
         "repro/core/extra.py": """
