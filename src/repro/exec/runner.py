@@ -357,7 +357,8 @@ class ParallelRunner:
         a hit is decoded into a ``cached`` outcome without running, and
         only the misses go through :meth:`map` (a fully cached batch
         builds no pool). Successful fresh values are written back in
-        payload order; failures never are. Then, with coverage on, the
+        payload order, with the store's index replaced once for the
+        whole batch; failures are never stored. Then, with coverage on, the
         snapshot each successful value carries is folded into the
         session in payload order — the one fold for cached, pooled and
         in-process outcomes alike, which keeps the session map
@@ -380,9 +381,12 @@ class ParallelRunner:
             for i, outcome in zip(misses, fresh):
                 outcome.index = i
                 outcomes[i] = outcome
-                if store is not None and outcome.ok:
-                    store.put(fps[i], codec.kind,
-                              codec.encode(outcome.value))
+            if store is not None:
+                with store.deferred_index():
+                    for i, outcome in zip(misses, fresh):
+                        if outcome.ok:
+                            store.put(fps[i], codec.kind,
+                                      codec.encode(outcome.value))
         session = sessions.current()
         if session.coverage_on:
             for outcome in outcomes:

@@ -31,6 +31,12 @@ from struct import Struct
 
 __all__ = [
     "Opcode",
+    "SEND_OPCODES",
+    "WRITE_OPCODES",
+    "READ_RESPONSE_OPCODES",
+    "DATA_OPCODES",
+    "FIRST_OPCODES",
+    "LAST_OPCODES",
     "AethSyndrome",
     "EthernetHeader",
     "Ipv4Header",
@@ -114,76 +120,69 @@ class Opcode(IntEnum):
         Read that is the read *response* stream, for Write/Send the
         request stream. Read requests, ACK/NAK and CNPs are control.
         """
-        return self in _DATA_OPCODES
+        return self in DATA_OPCODES
 
     @property
     def is_read_response(self) -> bool:
-        return self in (
-            Opcode.RDMA_READ_RESPONSE_FIRST,
-            Opcode.RDMA_READ_RESPONSE_MIDDLE,
-            Opcode.RDMA_READ_RESPONSE_LAST,
-            Opcode.RDMA_READ_RESPONSE_ONLY,
-        )
+        return self in READ_RESPONSE_OPCODES
 
     @property
     def is_send(self) -> bool:
-        return self in (
-            Opcode.SEND_FIRST,
-            Opcode.SEND_MIDDLE,
-            Opcode.SEND_LAST,
-            Opcode.SEND_ONLY,
-        )
+        return self in SEND_OPCODES
 
     @property
     def is_write(self) -> bool:
-        return self in (
-            Opcode.RDMA_WRITE_FIRST,
-            Opcode.RDMA_WRITE_MIDDLE,
-            Opcode.RDMA_WRITE_LAST,
-            Opcode.RDMA_WRITE_ONLY,
-        )
+        return self in WRITE_OPCODES
 
     @property
     def is_first(self) -> bool:
-        return self in (
-            Opcode.SEND_FIRST,
-            Opcode.RDMA_WRITE_FIRST,
-            Opcode.RDMA_READ_RESPONSE_FIRST,
-        )
+        return self in FIRST_OPCODES
 
     @property
     def is_last(self) -> bool:
         """True if this packet completes a message (LAST or ONLY)."""
-        return self in (
-            Opcode.SEND_LAST,
-            Opcode.SEND_ONLY,
-            Opcode.RDMA_WRITE_LAST,
-            Opcode.RDMA_WRITE_ONLY,
-            Opcode.RDMA_READ_RESPONSE_LAST,
-            Opcode.RDMA_READ_RESPONSE_ONLY,
-        )
+        return self in LAST_OPCODES
 
 
 #: Wire value -> member, for the BTH decode hot path. ``Opcode(x)``
 #: goes through EnumMeta.__call__, which costs several times a dict hit.
 _OPCODE_BY_VALUE = {member.value: member for member in Opcode}
 
-_DATA_OPCODES = frozenset(
-    {
-        Opcode.SEND_FIRST,
-        Opcode.SEND_MIDDLE,
-        Opcode.SEND_LAST,
-        Opcode.SEND_ONLY,
-        Opcode.RDMA_WRITE_FIRST,
-        Opcode.RDMA_WRITE_MIDDLE,
-        Opcode.RDMA_WRITE_LAST,
-        Opcode.RDMA_WRITE_ONLY,
-        Opcode.RDMA_READ_RESPONSE_FIRST,
-        Opcode.RDMA_READ_RESPONSE_MIDDLE,
-        Opcode.RDMA_READ_RESPONSE_LAST,
-        Opcode.RDMA_READ_RESPONSE_ONLY,
-    }
-)
+# Opcode classes as frozensets, built once: the ``is_*`` properties and
+# the RNIC's per-packet checks test membership instead of building a
+# tuple of enum members (each ``Opcode.X`` is an attribute lookup) per call.
+SEND_OPCODES = frozenset({
+    Opcode.SEND_FIRST,
+    Opcode.SEND_MIDDLE,
+    Opcode.SEND_LAST,
+    Opcode.SEND_ONLY,
+})
+WRITE_OPCODES = frozenset({
+    Opcode.RDMA_WRITE_FIRST,
+    Opcode.RDMA_WRITE_MIDDLE,
+    Opcode.RDMA_WRITE_LAST,
+    Opcode.RDMA_WRITE_ONLY,
+})
+READ_RESPONSE_OPCODES = frozenset({
+    Opcode.RDMA_READ_RESPONSE_FIRST,
+    Opcode.RDMA_READ_RESPONSE_MIDDLE,
+    Opcode.RDMA_READ_RESPONSE_LAST,
+    Opcode.RDMA_READ_RESPONSE_ONLY,
+})
+DATA_OPCODES = SEND_OPCODES | WRITE_OPCODES | READ_RESPONSE_OPCODES
+FIRST_OPCODES = frozenset({
+    Opcode.SEND_FIRST,
+    Opcode.RDMA_WRITE_FIRST,
+    Opcode.RDMA_READ_RESPONSE_FIRST,
+})
+LAST_OPCODES = frozenset({
+    Opcode.SEND_LAST,
+    Opcode.SEND_ONLY,
+    Opcode.RDMA_WRITE_LAST,
+    Opcode.RDMA_WRITE_ONLY,
+    Opcode.RDMA_READ_RESPONSE_LAST,
+    Opcode.RDMA_READ_RESPONSE_ONLY,
+})
 
 
 class AethSyndrome(IntEnum):
@@ -236,9 +235,6 @@ class EthernetHeader:
         dst, src, ethertype = _ETH.unpack_from(data, offset)
         return cls(int.from_bytes(dst, "big"), int.from_bytes(src, "big"),
                    ethertype)
-
-    def copy(self) -> "EthernetHeader":
-        return EthernetHeader(self.dst_mac, self.src_mac, self.ethertype)
 
     def __eq__(self, other: object) -> object:
         if other.__class__ is not EthernetHeader:
@@ -297,12 +293,6 @@ class Ipv4Header:
         return cls(src_ip, dst_ip, total_length, ttl, protocol,
                    tos >> 2, tos & 0x3, identification)
 
-    def copy(self) -> "Ipv4Header":
-        return Ipv4Header(
-            self.src_ip, self.dst_ip, self.total_length, self.ttl,
-            self.protocol, self.dscp, self.ecn, self.identification,
-        )
-
     def __eq__(self, other: object) -> object:
         if other.__class__ is not Ipv4Header:
             return NotImplemented
@@ -343,9 +333,6 @@ class UdpHeader:
             raise ValueError("truncated UDP header")
         src_port, dst_port, length, _csum = _UDP.unpack_from(data, offset)
         return cls(src_port, dst_port, length)
-
-    def copy(self) -> "UdpHeader":
-        return UdpHeader(self.src_port, self.dst_port, self.length)
 
     def __eq__(self, other: object) -> object:
         if other.__class__ is not UdpHeader:
@@ -424,12 +411,6 @@ class BaseTransportHeader:
             bool(resv & 0x40),           # becn
         )
 
-    def copy(self) -> "BaseTransportHeader":
-        return BaseTransportHeader(
-            self.opcode, self.solicited, self.migreq, self.pad_count,
-            self.pkey, self.dest_qp, self.ack_request, self.psn, self.becn,
-        )
-
     def __eq__(self, other: object) -> object:
         if other.__class__ is not BaseTransportHeader:
             return NotImplemented
@@ -472,9 +453,6 @@ class RdmaExtendedHeader:
             raise ValueError("truncated RETH")
         va, rkey, dma_len = _RETH.unpack_from(data, offset)
         return cls(va, rkey, dma_len)
-
-    def copy(self) -> "RdmaExtendedHeader":
-        return RdmaExtendedHeader(self.virtual_address, self.rkey, self.dma_length)
 
     def __eq__(self, other: object) -> object:
         if other.__class__ is not RdmaExtendedHeader:
@@ -539,9 +517,6 @@ class AckExtendedHeader:
             syndrome=AethSyndrome.encode(AethSyndrome.NAK, NAK_PSN_SEQUENCE_ERROR),
             msn=msn,
         )
-
-    def copy(self) -> "AckExtendedHeader":
-        return AckExtendedHeader(self.syndrome, self.msn)
 
     def __eq__(self, other: object) -> object:
         if other.__class__ is not AckExtendedHeader:

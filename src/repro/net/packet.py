@@ -44,6 +44,7 @@ from .headers import (
 
 __all__ = ["Packet", "EventType"]
 
+#: Source of ``packet_id``; ``QueuePair._packet`` draws from it too.
 _packet_ids = itertools.count(1)
 
 
@@ -151,9 +152,9 @@ class Packet:
     def size(self) -> int:
         """Total wire size in bytes (headers + payload + iCRC trailer).
 
-        Cached: links read it three times per hop, and headers attached
-        after construction (a QP bolting on a RETH/AETH) go through the
-        cold-cache path on first read.
+        Cached: links read it three times per hop. The QP builder
+        stores it at construction; a packet built by ``__init__`` fills
+        it on first read.
         """
         size = self._wire_size
         if size is None:

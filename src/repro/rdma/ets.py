@@ -26,9 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["EtsQueueConfig", "EtsScheduler"]
 
-_INFINITY = float("inf")
-
-
 @dataclass(frozen=True)
 class EtsQueueConfig:
     """Static configuration of one ETS traffic class."""
@@ -58,29 +55,36 @@ class _Queue:
         self.guaranteed_bps = int(config.weight * line_rate_bps) or line_rate_bps
         self.bytes_sent = 0
 
-    def backlogged_qps(self) -> List["QueuePair"]:
-        return [qp for qp in self.qps if qp.has_pending_tx()]
-
-    def pick_qp(self, now: int) -> Tuple[Optional["QueuePair"], float]:
+    def pick_qp(self, now: int) -> Tuple[Optional["QueuePair"], Optional[int]]:
         """Round-robin over this queue's QPs honouring per-QP pacing.
 
-        Returns (qp, _) when some QP can send now, else (None,
-        earliest-eligible-time) over backlogged QPs (inf if none).
+        Same contract as :meth:`EtsScheduler.select`: ``(qp, None)`` when
+        some QP can send now, else ``(None, t)`` with the earliest time a
+        paced backlogged QP becomes eligible (``None`` if none is
+        backlogged).
         """
-        if not self.qps:
-            return None, _INFINITY
-        n = len(self.qps)
-        earliest = _INFINITY
+        qps = self.qps
+        n = len(qps)
+        start = self._rr_next
+        earliest = None
         for offset in range(n):
-            qp = self.qps[(self._rr_next + offset) % n]
+            qp = qps[(start + offset) % n]
             if not qp.has_pending_tx():
                 continue
             ready_at = qp.pacing_ready_at
             if ready_at <= now:
-                self._rr_next = (self._rr_next + offset + 1) % n
-                return qp, float(now)
-            earliest = min(earliest, ready_at)
+                self._rr_next = (start + offset + 1) % n
+                return qp, None
+            if earliest is None or ready_at < earliest:
+                earliest = ready_at
         return None, earliest
+
+
+def _earlier(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The earlier of two optional times (``None`` means never)."""
+    if a is None or (b is not None and b < a):
+        return b
+    return a
 
 
 class EtsScheduler:
@@ -94,6 +98,12 @@ class EtsScheduler:
         self._queues: Dict[int, _Queue] = {}
         self._strict_order: List[int] = []
         self._weighted_order: List[int] = []
+        #: The one traffic class when the configuration has exactly one,
+        #: weighted, under a work-conserving scheduler (every NIC that is
+        #: not given an ETS configuration). :meth:`select` then reduces to
+        #: that class's round-robin pick, so the NIC calls
+        #: ``lone_class.pick_qp`` directly. ``None`` otherwise.
+        self.lone_class: Optional[_Queue] = None
         # Default single best-effort queue so NICs work unconfigured.
         self.configure([EtsQueueConfig(index=0, weight=1.0)])
 
@@ -110,6 +120,10 @@ class EtsScheduler:
         self._queues = {c.index: _Queue(c, self.line_rate_bps) for c in configs}
         self._strict_order = sorted(i for i in indices if self._queues[i].config.strict_priority)
         self._weighted_order = sorted(i for i in indices if not self._queues[i].config.strict_priority)
+        self.lone_class = None
+        if self.work_conserving and len(configs) == 1 \
+                and not configs[0].strict_priority:
+            self.lone_class = self._queues[configs[0].index]
 
     def assign(self, qp: "QueuePair", queue_index: int) -> None:
         """Map a QP to a traffic class (Fig. 10's "map two QPs to ...")."""
@@ -132,14 +146,14 @@ class EtsScheduler:
         ``(None, t)`` with the earliest future time a blocked QP becomes
         eligible (``None`` if nothing is backlogged at all).
         """
-        earliest = _INFINITY
+        earliest: Optional[int] = None
 
         # Strict-priority classes first, in index order.
         for index in self._strict_order:
             qp, when = self._queues[index].pick_qp(now)
             if qp is not None:
                 return qp, None
-            earliest = min(earliest, when)
+            earliest = _earlier(earliest, when)
 
         # Weighted classes: eligible queue with the smallest virtual
         # finish time wins; the buggy mode additionally requires the
@@ -148,24 +162,20 @@ class EtsScheduler:
         best_qp: Optional["QueuePair"] = None
         for index in self._weighted_order:
             queue = self._queues[index]
-            # Truthiness only — avoid backlogged_qps()'s list build on
-            # the per-transmission path.
             if not any(qp.has_pending_tx() for qp in queue.qps):
                 continue
             if not self.work_conserving and queue.shaper_free_at > now:
-                earliest = min(earliest, queue.shaper_free_at)
+                earliest = _earlier(earliest, queue.shaper_free_at)
                 continue
             qp, when = queue.pick_qp(now)
             if qp is None:
-                earliest = min(earliest, when)
+                earliest = _earlier(earliest, when)
                 continue
             if best is None or queue.virtual_finish < best.virtual_finish:
                 best, best_qp = queue, qp
         if best_qp is not None:
             return best_qp, None
-        if earliest is _INFINITY:
-            return None, None
-        return None, int(earliest)
+        return None, earliest
 
     def account(self, qp: "QueuePair", now: int, size_bytes: int) -> None:
         """Charge a transmitted packet to the QP's traffic class."""

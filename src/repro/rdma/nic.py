@@ -24,7 +24,13 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from ..coverage import runtime as coverage
-from ..net.headers import Opcode, ECN_CE
+from ..net.headers import (
+    DATA_OPCODES,
+    ECN_CE,
+    Opcode,
+    SEND_OPCODES,
+    WRITE_OPCODES,
+)
 from ..net.link import Node, Port, gbps
 from ..net.packet import Packet
 from ..sim.engine import Simulator, MS
@@ -42,6 +48,10 @@ __all__ = ["RdmaNic"]
 #: Width of the sliding window used to detect *concurrent* Read-loss
 #: slow-path activations for the noisy-neighbor stall.
 _READ_LOSS_WINDOW_NS = 1 * MS
+
+_CNP = Opcode.CNP
+#: Request-stream opcodes the CX5 MigReq=0 slow path diverts.
+_SLOW_PATH_OPCODES = SEND_OPCODES | WRITE_OPCODES | {Opcode.RDMA_READ_REQUEST}
 
 
 class RdmaNic(Node):
@@ -154,15 +164,16 @@ class RdmaNic(Node):
         if packet.bth is None:
             return
         counters = self.counters
-        counters.incr("rx_packets")
-        counters.incr("rx_bytes", packet.size)
+        counters.rx_packets += 1
+        counters.rx_bytes += packet.size
         if not packet.icrc_ok:
             counters.incr("rx_icrc_errors")
             self._cov_nic.hit("icrc-discard", now)
             self._rec.note(now, "icrc-discard",
                            f"qpn={packet.bth.dest_qp} psn={packet.bth.psn}")
             return
-        if self._divert_to_migreq_slowpath(packet):
+        if self.profile.migreq_zero_slow_path and \
+                self._divert_to_migreq_slowpath(packet):
             return
         profile = self.profile
         delay = self.rng.jitter_ns(profile.rx_pipeline_ns,
@@ -174,13 +185,13 @@ class RdmaNic(Node):
         self.sim.schedule_at(dispatch_at, self._dispatch, packet)
 
     def _divert_to_migreq_slowpath(self, packet: Packet) -> bool:
-        """CX5 MigReq=0 slow path (§6.2.3). Returns True if diverted."""
-        if not self.profile.migreq_zero_slow_path:
-            return False
+        """CX5 MigReq=0 slow path (§6.2.3). Returns True if diverted.
+
+        Called only on a profile with ``migreq_zero_slow_path`` set.
+        """
         if packet.bth.migreq:
             return False
-        opcode = packet.bth.opcode
-        if not (opcode.is_send or opcode.is_write or opcode == Opcode.RDMA_READ_REQUEST):
+        if packet.bth.opcode not in _SLOW_PATH_OPCODES:
             return False
         qp = self.qps.get(packet.bth.dest_qp)
         if qp is None:
@@ -217,13 +228,16 @@ class RdmaNic(Node):
         return True
 
     def _dispatch(self, packet: Packet) -> None:
-        qp = self.qps.get(packet.bth.dest_qp)
+        bth = packet.bth
+        qp = self.qps.get(bth.dest_qp)
         if qp is None:
             return
-        if packet.bth.opcode == Opcode.CNP:
+        opcode = bth.opcode
+        if opcode == _CNP:
             qp.handle_cnp()
             return
-        if packet.ip is not None and packet.ip.ecn == ECN_CE and packet.bth.opcode.is_data:
+        ip = packet.ip
+        if ip is not None and ip.ecn == ECN_CE and opcode in DATA_OPCODES:
             self._notification_point(qp, packet)
         qp.receive(packet)
 
@@ -301,24 +315,36 @@ class RdmaNic(Node):
             self._request_kick(self._tx_busy_until)
             return
         if self._control_queue:
-            self._transmit(self._control_queue.popleft(), None)
+            self._transmit(self._control_queue.popleft(), None, now)
             return
-        qp, next_time = self.ets.select(now)
+        lone = self.ets.lone_class
+        if lone is not None:
+            qp, next_time = lone.pick_qp(now)
+        else:
+            qp, next_time = self.ets.select(now)
         if qp is not None:
-            self._transmit(qp.dequeue_tx(), qp)
+            self._transmit(qp.dequeue_tx(), qp, now)
         elif next_time is not None:
             self._request_kick(next_time)
 
-    def _transmit(self, packet: Packet, qp: Optional[QueuePair]) -> None:
-        now = self.sim.now
+    def _transmit(self, packet: Packet, qp: Optional[QueuePair],
+                  now: int) -> None:
         size = packet.size
         port = self.port
         port.send(packet)
         counters = self.counters
-        counters.incr("tx_packets")
-        counters.incr("tx_bytes", size)
-        busy_until = now + port.serialization_delay_ns(size)
+        counters.tx_packets += 1
+        counters.tx_bytes += size
+        # Port.serialization_delay_ns, inline.
+        bw = port.bandwidth_bps
+        busy_until = now + (size * 8_000_000_000 + bw - 1) // bw
         self._tx_busy_until = busy_until
         if qp is not None:
             self.ets.account(qp, now, size)
-        self._request_kick(busy_until)
+        if self._kick_event is None:
+            # _tx_loop cleared the kick, so _request_kick would schedule
+            # unconditionally: do that here without the call.
+            self._kick_time = busy_until
+            self._kick_event = self.sim.schedule_at(busy_until, self._tx_loop)
+        else:
+            self._request_kick(busy_until)

@@ -22,20 +22,27 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..net.headers import (
     AckExtendedHeader,
+    AethSyndrome,
     BaseTransportHeader,
+    DATA_OPCODES,
     EthernetHeader,
+    ETHERTYPE_IPV4,
+    IPPROTO_UDP,
     Ipv4Header,
+    LAST_OPCODES,
+    NAK_PSN_SEQUENCE_ERROR,
     Opcode,
     RdmaExtendedHeader,
+    READ_RESPONSE_OPCODES,
     UdpHeader,
     ECN_ECT0,
 )
 from ..coverage import runtime as coverage
-from ..net.packet import Packet
+from ..net.packet import Packet, _packet_ids
 from ..net.addressing import ROCEV2_UDP_PORT
 from .dcqcn import DcqcnRp
 from .verbs import (
@@ -68,6 +75,58 @@ def psn_geq(a: int, b: int) -> bool:
     return psn_distance(a, b) < (1 << 23)
 
 
+_new = object.__new__
+
+_ACK = Opcode.ACKNOWLEDGE
+_READ_REQUEST = Opcode.RDMA_READ_REQUEST
+_SEND_STARTS = frozenset({Opcode.SEND_FIRST, Opcode.SEND_ONLY})
+#: Opcodes that advance the request stream's highest-sent PSN.
+_PSN_STREAM_OPCODES = DATA_OPCODES | {_READ_REQUEST}
+
+#: Per message kind: the (ONLY, FIRST, MIDDLE, LAST) opcodes.
+_MESSAGE_OPCODES = {
+    Verb.SEND: (Opcode.SEND_ONLY, Opcode.SEND_FIRST, Opcode.SEND_MIDDLE,
+                Opcode.SEND_LAST),
+    Verb.WRITE: (Opcode.RDMA_WRITE_ONLY, Opcode.RDMA_WRITE_FIRST,
+                 Opcode.RDMA_WRITE_MIDDLE, Opcode.RDMA_WRITE_LAST),
+}
+_READ_RESPONSE_SEQUENCE = (
+    Opcode.RDMA_READ_RESPONSE_ONLY, Opcode.RDMA_READ_RESPONSE_FIRST,
+    Opcode.RDMA_READ_RESPONSE_MIDDLE, Opcode.RDMA_READ_RESPONSE_LAST)
+
+
+def _opcode_at(opcodes: Tuple[Opcode, Opcode, Opcode, Opcode], index: int,
+               total: int) -> Opcode:
+    """Opcode of packet ``index`` of a ``total``-packet message."""
+    only, first, middle, last = opcodes
+    if total == 1:
+        return only
+    if index == 0:
+        return first
+    return last if index == total - 1 else middle
+
+
+# AETH syndromes the QP emits (IB spec 9.7.5.2.4).
+_SYNDROME_ACK = AethSyndrome.encode(AethSyndrome.ACK, 0x1F)
+_SYNDROME_NAK = AethSyndrome.encode(AethSyndrome.NAK, NAK_PSN_SEQUENCE_ERROR)
+_SYNDROME_RNR_NAK = AethSyndrome.encode(AethSyndrome.RNR_NAK, 1)
+
+#: Wire bytes of every header plus the iCRC, per opcode the QP emits; a
+#: packet's wire size is this plus its payload. Write FIRST/ONLY and the
+#: Read request carry a RETH (16 bytes), ACK/NAK an AETH (4 bytes). A
+#: Read response LAST/ONLY also carries an AETH, but its 4 bytes are not
+#: counted in the wire size, IP total length or UDP length: the model
+#: has always attached that AETH after setting the lengths, and every
+#: recorded result carries those lengths.
+_WIRE_OVERHEAD = {opcode: 58 for opcode in Opcode}
+_WIRE_OVERHEAD.update({
+    Opcode.RDMA_WRITE_FIRST: 74,
+    Opcode.RDMA_WRITE_ONLY: 74,
+    Opcode.RDMA_READ_REQUEST: 74,
+    Opcode.ACKNOWLEDGE: 62,
+})
+
+
 class QpState(str, Enum):
     RESET = "reset"
     RTS = "rts"  # ready to send (connected)
@@ -82,8 +141,8 @@ class _PacketTemplate:
     opcode: Opcode
     payload_len: int
     ack_request: bool
-    wr_id: int
-    reth: Optional[RdmaExtendedHeader] = None
+    #: (virtual address, rkey, DMA length) of the RETH, if the packet has one.
+    reth: Optional[Tuple[int, int, int]] = None
 
 
 @dataclass
@@ -129,6 +188,7 @@ class QueuePair:
         self.dest_mac = 0
         self.dest_qp_num = 0
         self.dest_initial_psn = 0
+        self._set_header_template()
 
         # Loss-recovery configuration (Listing 2 knobs).
         self.timeout_cfg = 14          # min RTO = 4.096 µs * 2^timeout
@@ -159,7 +219,6 @@ class QueuePair:
         self.epsn = 0                  # expected PSN from the remote peer
         self._nak_sent_for_gap = False
         self.msn = 0
-        self._resp_templates: Dict[int, _PacketTemplate] = {}
         self._first_message_done = False  # MigReq slow-path cache signal
         # Receive queue for inbound Sends. ``auto_recv`` models the
         # paper's responder, which continuously posts Recv requests
@@ -203,6 +262,7 @@ class QueuePair:
         self.dest_qp_num = dest_qp_num
         self.dest_initial_psn = dest_initial_psn & PSN_MASK
         self.epsn = self.dest_initial_psn
+        self._set_header_template()
         if timeout_cfg is not None:
             self.timeout_cfg = timeout_cfg
         if retry_cnt is not None:
@@ -211,6 +271,19 @@ class QueuePair:
             self.adaptive_retrans = adaptive_retrans and self.profile.supports_adaptive_retrans
         self.state = QpState.RTS
         self._last_progress = self.sim.now
+
+    def _set_header_template(self) -> None:
+        """Fix the header fields every packet of this QP shares.
+
+        MACs, IPs, UDP source port, destination QPN and MigReq do not
+        change after ``connect()``; :meth:`_packet` reads them from this
+        one tuple instead of from five objects per packet.
+        """
+        self._header_template = (
+            self.dest_mac, self.nic.mac, self.src_ip, self.dest_ip,
+            0xC000 | (self.qp_num & 0x3FFF), self.dest_qp_num,
+            bool(self.profile.migreq_initial),
+        )
 
     # ------------------------------------------------------------------
     # Pacing interface used by the NIC's ETS scheduler
@@ -228,23 +301,25 @@ class QueuePair:
         psn = bth.psn
         if self.dcqcn_enabled:
             size = packet.size
-            rate = self.dcqcn.rate_bps
-            if rate < 1:
-                rate = 1
+            dcqcn = self.dcqcn
+            current = dcqcn.current_rate_bps
+            rate = current if current > 1 else 1
             gap = size * 8_000_000_000 // rate
             now = self.sim.now
             prev = self._pacing_next
             self._pacing_next = (now if now > prev else prev) + gap
-            self.dcqcn.on_bytes_sent(size)
+            if current < dcqcn.line_rate_bps:
+                # At line rate on_bytes_sent has nothing to count.
+                dcqcn.on_bytes_sent(size)
+        # PSN comparisons are psn_geq inline: (a - b) & PSN_MASK < 2**23.
         highest = self._highest_psn_sent
         if highest is not None and psn in self._templates and \
-                psn_geq(highest, psn):
+                (highest - psn) & PSN_MASK < 0x800000:
             self.nic.counters.incr("retransmitted_packets")
             self.nic._m_retrans.inc()
-        opcode = bth.opcode
-        if opcode.is_data or opcode == Opcode.RDMA_READ_REQUEST:
-            if highest is None or psn_geq(psn, highest):
-                self._highest_psn_sent = psn
+        if bth.opcode in _PSN_STREAM_OPCODES and \
+                (highest is None or (psn - highest) & PSN_MASK < 0x800000):
+            self._highest_psn_sent = psn
         return packet
 
     # ------------------------------------------------------------------
@@ -266,25 +341,22 @@ class QueuePair:
         npkts = max(1, (wr.length + self.mtu - 1) // self.mtu)
         first_psn = self.next_psn
         remaining = wr.length
+        opcodes = _MESSAGE_OPCODES[wr.verb]
+        templates = self._templates
+        append = self.pending_tx.append
+        build = self._build_from_template
         for i in range(npkts):
             payload = min(self.mtu, remaining)
             remaining -= payload
-            opcode = self._data_opcode(wr.verb, i, npkts)
-            is_last = i == npkts - 1
+            opcode = _opcode_at(opcodes, i, npkts)
             reth = None
             if wr.verb is Verb.WRITE and i == 0:
-                reth = RdmaExtendedHeader(
-                    virtual_address=wr.remote_address,
-                    rkey=wr.remote_rkey,
-                    dma_length=wr.length,
-                )
-            psn = psn_add(first_psn, i)
-            template = _PacketTemplate(
-                psn=psn, opcode=opcode, payload_len=payload,
-                ack_request=is_last, wr_id=wr.wr_id, reth=reth,
-            )
-            self._templates[psn] = template
-            self.pending_tx.append(self._build_from_template(template))
+                reth = (wr.remote_address, wr.remote_rkey, wr.length)
+            psn = (first_psn + i) & PSN_MASK
+            template = _PacketTemplate(psn, opcode, payload, i == npkts - 1,
+                                       reth)
+            templates[psn] = template
+            append(build(template))
         last_psn = psn_add(first_psn, npkts - 1)
         self.next_psn = psn_add(first_psn, npkts)
         self._messages.append(_SendMessage(wr, first_psn, last_psn, posted_at))
@@ -303,87 +375,93 @@ class QueuePair:
             self._build_read_request(first_psn, wr.remote_address, wr.remote_rkey, wr.length)
         )
 
-    @staticmethod
-    def _data_opcode(verb: Verb, index: int, total: int) -> Opcode:
-        if verb is Verb.SEND:
-            if total == 1:
-                return Opcode.SEND_ONLY
-            if index == 0:
-                return Opcode.SEND_FIRST
-            return Opcode.SEND_LAST if index == total - 1 else Opcode.SEND_MIDDLE
-        if verb is Verb.WRITE:
-            if total == 1:
-                return Opcode.RDMA_WRITE_ONLY
-            if index == 0:
-                return Opcode.RDMA_WRITE_FIRST
-            return Opcode.RDMA_WRITE_LAST if index == total - 1 else Opcode.RDMA_WRITE_MIDDLE
-        raise ValueError(f"no data opcode for verb {verb}")
-
-    @staticmethod
-    def _response_opcode(index: int, total: int) -> Opcode:
-        if total == 1:
-            return Opcode.RDMA_READ_RESPONSE_ONLY
-        if index == 0:
-            return Opcode.RDMA_READ_RESPONSE_FIRST
-        if index == total - 1:
-            return Opcode.RDMA_READ_RESPONSE_LAST
-        return Opcode.RDMA_READ_RESPONSE_MIDDLE
-
     # ------------------------------------------------------------------
     # Packet builders
     # ------------------------------------------------------------------
-    def _headers(self, payload_len: int, opcode: Opcode) -> Packet:
-        # Positional header construction: this runs once per data packet
-        # of every posted message, and keyword processing was measurable.
-        return Packet(
-            EthernetHeader(self.dest_mac, self.nic.mac),
-            Ipv4Header(self.src_ip, self.dest_ip, ecn=ECN_ECT0),
-            UdpHeader(0xC000 | (self.qp_num & 0x3FFF), ROCEV2_UDP_PORT),
-            BaseTransportHeader(
-                opcode,
-                dest_qp=self.dest_qp_num,
-                migreq=bool(self.profile.migreq_initial),
-            ),
-            payload_len=payload_len,
-        )
+    def _packet(self, opcode: Opcode, psn: int, payload_len: int,
+                ack_request: bool = False,
+                reth: Optional[Tuple[int, int, int]] = None,
+                syndrome: Optional[int] = None) -> Packet:
+        """Build one packet of this QP from the per-QP header template.
 
-    def _finalize_lengths(self, packet: Packet) -> Packet:
-        ip = packet.ip
-        udp = packet.udp
-        assert ip is not None and udp is not None
-        total = packet.size - 14  # everything after Ethernet
-        ip.total_length = total
-        udp.length = total - 20
+        Every packet this QP emits comes from here. Headers and packet
+        are made by ``__new__`` plus slot stores (no ``__init__`` frames,
+        no keyword processing), with the IP total length, UDP length and
+        wire size set in the same pass from :data:`_WIRE_OVERHEAD`. Each
+        packet gets its own header objects: the switch marks ECN and
+        rewrite rules change fields in place. ``reth`` is (virtual
+        address, rkey, DMA length); ``syndrome`` adds an AETH carrying
+        the current MSN.
+        """
+        dst_mac, src_mac, src_ip, dst_ip, src_port, dest_qp, migreq = \
+            self._header_template
+        size = _WIRE_OVERHEAD[opcode] + payload_len
+
+        eth = _new(EthernetHeader)
+        eth.dst_mac = dst_mac
+        eth.src_mac = src_mac
+        eth.ethertype = ETHERTYPE_IPV4
+
+        ip = _new(Ipv4Header)
+        ip.src_ip = src_ip
+        ip.dst_ip = dst_ip
+        ip.total_length = size - 14      # everything after Ethernet
+        ip.ttl = 64
+        ip.protocol = IPPROTO_UDP
+        ip.dscp = 0
+        ip.ecn = ECN_ECT0
+        ip.identification = 0
+
+        udp = _new(UdpHeader)
+        udp.src_port = src_port
+        udp.dst_port = ROCEV2_UDP_PORT
+        udp.length = size - 34           # everything after IP
+
+        bth = _new(BaseTransportHeader)
+        bth.opcode = opcode
+        bth.solicited = False
+        bth.migreq = migreq
+        bth.pad_count = 0
+        bth.pkey = 0xFFFF
+        bth.dest_qp = dest_qp
+        bth.ack_request = ack_request
+        bth.psn = psn
+        bth.becn = False
+
+        packet = _new(Packet)
+        packet.eth = eth
+        packet.ip = ip
+        packet.udp = udp
+        packet.bth = bth
+        if reth is None:
+            packet.reth = None
+        else:
+            header = packet.reth = _new(RdmaExtendedHeader)
+            header.virtual_address, header.rkey, header.dma_length = reth
+        if syndrome is None:
+            packet.aeth = None
+        else:
+            aeth = packet.aeth = _new(AckExtendedHeader)
+            aeth.syndrome = syndrome
+            aeth.msn = self.msn
+        packet.payload_len = payload_len
+        packet.icrc_ok = True
+        packet.packet_id = next(_packet_ids)
+        packet._wire_size = size
         return packet
 
     def _build_from_template(self, template: _PacketTemplate) -> Packet:
-        packet = self._headers(template.payload_len, template.opcode)
-        packet.bth.psn = template.psn
-        packet.bth.ack_request = template.ack_request
-        if template.reth is not None:
-            packet.reth = template.reth.copy()
-        return self._finalize_lengths(packet)
+        return self._packet(template.opcode, template.psn,
+                            template.payload_len, template.ack_request,
+                            template.reth)
 
     def _build_read_request(self, psn: int, address: int, rkey: int, length: int) -> Packet:
-        packet = self._headers(0, Opcode.RDMA_READ_REQUEST)
-        packet.bth.psn = psn
-        packet.bth.ack_request = True
-        packet.reth = RdmaExtendedHeader(virtual_address=address, rkey=rkey,
-                                         dma_length=length)
-        return self._finalize_lengths(packet)
-
-    def _build_ack(self, psn: int, nak: bool = False) -> Packet:
-        packet = self._headers(0, Opcode.ACKNOWLEDGE)
-        packet.bth.psn = psn
-        packet.aeth = (AckExtendedHeader.nak_sequence_error(self.msn) if nak
-                       else AckExtendedHeader.ack(self.msn))
-        return self._finalize_lengths(packet)
+        return self._packet(_READ_REQUEST, psn, 0, True,
+                            (address, rkey, length))
 
     def build_cnp(self) -> Packet:
         """A CNP addressed to this QP's peer (used by the NIC's NP block)."""
-        packet = self._headers(0, Opcode.CNP)
-        packet.bth.psn = 0
-        return self._finalize_lengths(packet)
+        return self._packet(Opcode.CNP, 0, 0)
 
     # ------------------------------------------------------------------
     # Receive dispatch (called by the NIC after its RX pipeline delay)
@@ -392,13 +470,13 @@ class QueuePair:
         if self.state is QpState.ERROR:
             return
         opcode = packet.bth.opcode
-        if opcode == Opcode.ACKNOWLEDGE:
+        if opcode == _ACK:
             self._handle_ack(packet)
-        elif opcode.is_read_response:
+        elif opcode in READ_RESPONSE_OPCODES:
             self._handle_read_response(packet)
-        elif opcode == Opcode.RDMA_READ_REQUEST:
+        elif opcode == _READ_REQUEST:
             self._handle_read_request(packet)
-        elif opcode.is_data:
+        elif opcode in DATA_OPCODES:
             self._handle_data(packet)
 
     def handle_cnp(self) -> None:
@@ -424,8 +502,7 @@ class QueuePair:
         psn = packet.bth.psn
         if psn == self.epsn:
             opcode = packet.bth.opcode
-            if opcode in (Opcode.SEND_FIRST, Opcode.SEND_ONLY) \
-                    and not self.auto_recv:
+            if opcode in _SEND_STARTS and not self.auto_recv:
                 # A new inbound Send consumes a receive WQE; with none
                 # available the responder answers RNR NAK and does not
                 # advance its expected PSN (IB spec 9.7.5.2.8).
@@ -446,7 +523,7 @@ class QueuePair:
             self._cov_gbn.hit("in-order-accept", self.sim.now)
             self.epsn = psn_add(self.epsn, 1)
             self._nak_sent_for_gap = False
-            if packet.bth.opcode.is_last:
+            if opcode in LAST_OPCODES:
                 self.msn = (self.msn + 1) & PSN_MASK
                 self._first_message_done = True
             if packet.bth.ack_request:
@@ -484,16 +561,15 @@ class QueuePair:
             return
         if nak:
             self.nic.counters.incr("nak_sent")
-        self.nic.send_control(self._build_ack(psn, nak=nak))
+        self.nic.send_control(self._packet(
+            _ACK, psn, 0, syndrome=_SYNDROME_NAK if nak else _SYNDROME_ACK))
 
     def _emit_rnr_nak(self, psn: int) -> None:
         self._rnr_nak_pending = False  # one RNR NAK per Send attempt
         if self.state is QpState.ERROR:
             return
-        packet = self._headers(0, Opcode.ACKNOWLEDGE)
-        packet.bth.psn = psn
-        packet.aeth = AckExtendedHeader.rnr_nak(msn=self.msn)
-        self.nic.send_control(self._finalize_lengths(packet))
+        self.nic.send_control(self._packet(_ACK, psn, 0,
+                                           syndrome=_SYNDROME_RNR_NAK))
 
     # ---- responder: Read requests -------------------------------------
     def _handle_read_request(self, packet: Packet) -> None:
@@ -533,26 +609,18 @@ class QueuePair:
             return
         npkts = max(1, (length + self.mtu - 1) // self.mtu)
         remaining = length
+        append = self.pending_tx.append
         for i in range(npkts):
             payload = min(self.mtu, remaining)
             remaining -= payload
-            psn = psn_add(first_psn, i)
-            template = _PacketTemplate(
-                psn=psn,
-                opcode=self._response_opcode(i, npkts),
-                payload_len=payload,
-                ack_request=False,
-                wr_id=0,
-            )
-            self._resp_templates[psn] = template
-            packet = self._build_from_template(template)
-            if packet.bth.opcode in (Opcode.RDMA_READ_RESPONSE_LAST,
-                                     Opcode.RDMA_READ_RESPONSE_ONLY):
-                packet.aeth = AckExtendedHeader.ack(self.msn)
+            opcode = _opcode_at(_READ_RESPONSE_SEQUENCE, i, npkts)
+            # The last response carries an AETH (see _WIRE_OVERHEAD).
+            syndrome = _SYNDROME_ACK if opcode in LAST_OPCODES else None
             if retransmit:
                 self.nic.counters.incr("retransmitted_packets")
                 self.nic._m_retrans.inc()
-            self.pending_tx.append(packet)
+            append(self._packet(opcode, (first_psn + i) & PSN_MASK, payload,
+                                syndrome=syndrome))
         self.nic.notify_tx()
 
     # ---- requester: ACK / NAK -----------------------------------------
@@ -637,7 +705,7 @@ class QueuePair:
         # will be regenerated in order.
         self.pending_tx = deque(
             p for p in self.pending_tx
-            if not (p.bth.opcode.is_data or p.bth.opcode == Opcode.RDMA_READ_REQUEST)
+            if p.bth.opcode not in _PSN_STREAM_OPCODES
             or not psn_geq(p.bth.psn, psn)
         )
         cursor = psn

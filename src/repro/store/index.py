@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
 from ..telemetry import runtime as telemetry
@@ -54,6 +55,9 @@ class CampaignStore:
         self.misses = 0
         self._index: Dict[str, Dict] = {}
         self._next_seq = 0
+        # Inside deferred_index(): index writes wait for the block's end.
+        self._index_deferred = False
+        self._index_dirty = False
         self._load_index()
 
     # -- index persistence ---------------------------------------------
@@ -74,9 +78,34 @@ class CampaignStore:
             self.gc()
 
     def _save_index(self) -> None:
+        if self._index_deferred:
+            self._index_dirty = True
+            return
         _atomic_write_json(self._index_path(),
                            {"next-seq": self._next_seq,
                             "entries": self._index})
+
+    @contextmanager
+    def deferred_index(self) -> Iterator["CampaignStore"]:
+        """Write ``index.json`` once when the block exits, not per change.
+
+        A campaign batch writes back many values; each ``put`` still
+        writes its object file at once, but the index (which grows with
+        the store) is replaced a single time, after the objects. If the
+        process dies inside the block, the objects written so far are
+        orphans that :meth:`gc` re-adopts.
+        """
+        if self._index_deferred:  # nested: the outer block writes
+            yield self
+            return
+        self._index_deferred = True
+        try:
+            yield self
+        finally:
+            self._index_deferred = False
+            if self._index_dirty:
+                self._index_dirty = False
+                self._save_index()
 
     def _object_path(self, fp: str) -> str:
         return os.path.join(self._objects, fp[:2], fp + ".json")

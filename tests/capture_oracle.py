@@ -47,16 +47,25 @@ _AETH_OPCODES = frozenset({
 })
 
 
-def _copy(header):
-    return header.copy() if header is not None else None
+def clone_header(header):
+    """Field-by-field copy of a header (``None`` passes through).
+
+    Every header class takes its slots, in order, as constructor
+    arguments.
+    """
+    if header is None:
+        return None
+    cls = type(header)
+    return cls(*(getattr(header, name) for name in cls.__slots__))
 
 
 def mirror_clone(packet: Packet, seq: int, now_ns: int, event_code: int,
                  dst_port: int) -> Packet:
     """Deep copy of ``packet`` with the §3.4 metadata stamped in."""
-    clone = Packet(eth=packet.eth.copy(), ip=_copy(packet.ip),
-                   udp=_copy(packet.udp), bth=_copy(packet.bth),
-                   reth=_copy(packet.reth), aeth=_copy(packet.aeth),
+    clone = Packet(eth=clone_header(packet.eth), ip=clone_header(packet.ip),
+                   udp=clone_header(packet.udp), bth=clone_header(packet.bth),
+                   reth=clone_header(packet.reth),
+                   aeth=clone_header(packet.aeth),
                    payload_len=packet.payload_len)
     clone.ip.ttl = event_code & 0xFF
     clone.eth.src_mac = seq & _MASK48

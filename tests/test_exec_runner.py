@@ -13,6 +13,7 @@ from repro.exec.tasks import (
     telemetry_probe_task,
 )
 from repro.store.fingerprint import fingerprint
+from repro.store import index as index_mod
 from repro.store.index import CampaignStore
 from repro.telemetry import runtime as telemetry
 
@@ -201,6 +202,30 @@ class TestMapBatch:
         assert runner.stats.in_process_runs == 2
         # Fresh values were written back: the same batch now replays.
         assert store.get(fps[0]) == 2 and store.get(fps[2]) == 6
+
+    def test_write_back_replaces_the_index_once(self, tmp_path,
+                                                monkeypatch):
+        payloads = [1, 2, 3]
+        store, fps = self._store(tmp_path, payloads)
+        index_path = store._index_path()
+        writes = []
+        real_replace = index_mod.os.replace
+
+        def counting_replace(src, dst):
+            writes.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(index_mod.os, "replace", counting_replace)
+        with ParallelRunner(_double, workers=1) as runner:
+            outcomes = runner.map_batch(payloads, TaskCodec("echo"),
+                                        store, fps)
+        assert [o.value for o in outcomes] == [2, 4, 6]
+        assert writes.count(index_path) == 1
+        assert len(writes) == 4  # three objects, then the index
+        assert writes[-1] == index_path
+        reopened = CampaignStore(str(tmp_path / "store"))
+        assert len(reopened) == 3
+        assert [reopened.get(fp) for fp in fps] == [2, 4, 6]
 
     def test_failures_are_outcomes_and_never_stored(self, tmp_path):
         store, fps = self._store(tmp_path, ["x"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from capture_oracle import clone_header
 from repro.net.addressing import (
     int_to_ip,
     int_to_mac,
@@ -85,10 +86,26 @@ class TestEthernetHeader:
             EthernetHeader.unpack(b"\x00" * 10)
 
     def test_copy_is_independent(self):
-        header = EthernetHeader(dst_mac=1, src_mac=2)
-        clone = header.copy()
-        clone.dst_mac = 99
-        assert header.dst_mac == 1
+        # The capture oracle's clone helper, for every header class: an
+        # equal copy whose fields do not alias the original's.
+        headers = [
+            EthernetHeader(dst_mac=1, src_mac=2),
+            Ipv4Header(src_ip=3, dst_ip=4, total_length=60, ttl=7, dscp=5,
+                       ecn=ECN_CE, identification=9),
+            UdpHeader(src_port=0xC001, length=40),
+            BaseTransportHeader(Opcode.RDMA_WRITE_FIRST, solicited=True,
+                                migreq=False, pad_count=2, pkey=0x1234,
+                                dest_qp=0xABC, ack_request=True, psn=77,
+                                becn=True),
+            RdmaExtendedHeader(virtual_address=1 << 40, rkey=5, dma_length=6),
+            AckExtendedHeader(syndrome=0x60, msn=8),
+        ]
+        for header in headers:
+            clone = clone_header(header)
+            assert clone == header and clone is not header
+            first = type(header).__slots__[0]
+            setattr(clone, first, 99)
+            assert getattr(header, first) != 99
 
 
 class TestIpv4Header:
